@@ -44,11 +44,6 @@ class GrammarSpec:
                 if sym not in self.nonterminals and sym not in self.terminals:
                     raise ValueError(f"undeclared symbol {sym!r} in rule {lhs} -> {rhs}")
 
-    def rules_for(self, nonterminal: str) -> list[tuple[int, tuple[str, ...]]]:
-        return [
-            (i, rhs) for i, (lhs, rhs) in enumerate(self.rules) if lhs == nonterminal
-        ]
-
 
 def _rules(text: str):
     """Parse `LHS -> RHS` lines; alternatives split on `|`, ε is empty."""

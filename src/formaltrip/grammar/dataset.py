@@ -111,7 +111,9 @@ def generate_dataset(
     if metric in PRE_INSTANTIATION_METRICS:
         def on_leaf(leaf: DerivationNode):
             value = leaf_metric_value(leaf, metric)
-            _reservoir_add(reservoirs, available, value, leaf, quota, rng)
+            # a parent-less copy, so a kept leaf does not hold its derivation chain
+            kept = DerivationNode(leaf.sentential_form, leaf.depth)
+            _reservoir_add(reservoirs, available, value, kept, quota, rng)
     else:
         def on_leaf(leaf: DerivationNode):
             expr = instantiate(leaf, realized, vocab_config, rng, formalism)

@@ -7,6 +7,11 @@ with an independently drawn applicable rule (choices drawn left to
 right); when a node's rewrite-combination space is no larger than the
 branching factor it is enumerated exhaustively instead of sampled.
 Terminal children are collected as leaves across all levels.
+
+A level holds up to branching² children but only `branching` of them
+survive the next sample, so a nonterminal child is kept as its parent
+plus the rules it applies, and its sentential form is built only when
+it is sampled. Terminal children are built when they are emitted.
 """
 
 from __future__ import annotations
@@ -45,12 +50,13 @@ class DerivationNode:
     applied_rules: tuple[int, ...] | None = None
     parent: "DerivationNode | None" = field(default=None, repr=False)
 
-    def is_terminal(self, grammar: GrammarSpec) -> bool:
-        return not any(sym in grammar.nonterminals for sym in self.sentential_form)
-
     @property
     def text(self) -> str:
         return " ".join(self.sentential_form)
+
+
+# one way to rewrite a nonterminal: (rule index, right-hand side, nonterminals in it)
+Option = tuple[int, tuple[str, ...], int]
 
 
 def grow_tree(
@@ -62,26 +68,36 @@ def grow_tree(
     stream each terminal node into the callback instead of accumulating
     them (memory stays bounded by one level's frontier).
     """
-    root = DerivationNode((grammar.start,), 0)
-    level: list[DerivationNode] = [root]
+    nonterminals = grammar.nonterminals
+    options: dict[str, list[Option]] = {nt: [] for nt in nonterminals}
+    for i, (lhs, rhs) in enumerate(grammar.rules):
+        options[lhs].append((i, rhs, sum(sym in nonterminals for sym in rhs)))
+
+    level = [DerivationNode((grammar.start,), 0)]
     leaves: list[DerivationNode] | None = [] if on_leaf is None else None
     reached = 0
-    for _ in range(config.depth):
-        if not level:
-            break
-        sampled = _sample_nodes(level, config.branching, rng)
-        next_level: list[DerivationNode] = []
-        for node in sampled:
-            for child in _expand(node, grammar, config.branching, rng):
-                if child.is_terminal(grammar):
-                    reached += 1
-                    if leaves is not None:
-                        leaves.append(child)
-                    else:
-                        on_leaf(child)
+    for step in range(config.depth):
+        # nonterminal children wait as (parent, nonterminal positions, combo)
+        pending = []
+        for node in level:
+            form = node.sentential_form
+            positions = [i for i, sym in enumerate(form) if sym in nonterminals]
+            # draw every combo before emitting any leaf: on_leaf may draw from rng
+            for combo in _combos([options[form[i]] for i in positions], config.branching, rng):
+                if any(opt[2] for opt in combo):
+                    pending.append((node, positions, combo))
+                    continue
+                reached += 1
+                leaf = _build(node, positions, combo)
+                if leaves is not None:
+                    leaves.append(leaf)
                 else:
-                    next_level.append(child)
-        level = next_level
+                    on_leaf(leaf)
+        if step + 1 == config.depth:
+            break
+        if len(pending) > config.branching:
+            pending = rng.sample(pending, config.branching)
+        level = [_build(*entry) for entry in pending]
     if not reached:
         raise EmptyFrontier(
             f"grammar {grammar.id!r} yields no terminal string within depth {config.depth}"
@@ -89,46 +105,32 @@ def grow_tree(
     return leaves
 
 
-def _sample_nodes(level, n: int, rng: random.Random):
-    if len(level) <= n:
-        return list(level)
-    return rng.sample(level, n)
-
-
-def _expand(
-    node: DerivationNode, grammar: GrammarSpec, n: int, rng: random.Random
-) -> list[DerivationNode]:
-    form = node.sentential_form
-    positions = [i for i, sym in enumerate(form) if sym in grammar.nonterminals]
-    if not positions:
-        return []
-    options = [grammar.rules_for(form[i]) for i in positions]
+def _combos(choices: list[list[Option]], n: int, rng: random.Random) -> list[tuple[Option, ...]]:
+    """Up to `n` rewrite combinations: all of them when there are at most
+    `n`, else `n` drawn with one `rng.choice` per position, left to right."""
     total = 1
-    for opts in options:
+    for opts in choices:
         total *= len(opts)
         if total > n:
-            break
-    children = []
-    if total <= n:
-        combos = itertools.product(*options)
-    else:
-        combos = (
-            tuple(rng.choice(opts) for opts in options) for _ in range(n)
-        )
-    for combo in combos:
-        new_form: list[str] = []
-        cursor = 0
-        for pos, (_, rhs) in zip(positions, combo):
-            new_form.extend(form[cursor:pos])
-            new_form.extend(rhs)
-            cursor = pos + 1
-        new_form.extend(form[cursor:])
-        children.append(
-            DerivationNode(
-                tuple(new_form),
-                node.depth + 1,
-                applied_rules=tuple(ri for ri, _ in combo),
-                parent=node,
-            )
-        )
-    return children
+            choice = rng.choice
+            return [tuple([choice(opts) for opts in choices]) for _ in range(n)]
+    return list(itertools.product(*choices))
+
+
+def _build(parent: DerivationNode, positions: list[int], combo: tuple[Option, ...]) -> DerivationNode:
+    """The child of `parent` that rewrites the nonterminal at each position
+    with the matching option of `combo`."""
+    form = parent.sentential_form
+    new_form: list[str] = []
+    cursor = 0
+    for pos, (_, rhs, _) in zip(positions, combo):
+        new_form.extend(form[cursor:pos])
+        new_form.extend(rhs)
+        cursor = pos + 1
+    new_form.extend(form[cursor:])
+    return DerivationNode(
+        tuple(new_form),
+        parent.depth + 1,
+        applied_rules=tuple(opt[0] for opt in combo),
+        parent=parent,
+    )

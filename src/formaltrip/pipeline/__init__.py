@@ -15,7 +15,6 @@ from .providers import (
     ResponseCache,
     Timeout,
     TransportError,
-    complete,
     corrupt_expression,
     load_fixtures,
     prompt_hash,
@@ -51,7 +50,7 @@ __all__ = [
     "PERFECT_ORACLE", "PromptTemplate", "Provider", "ProviderConfig",
     "ProviderError", "RateLimited", "ReplayMiss", "ResponseCache",
     "RoundTripRecord", "SCRIPTED_REPLAY", "TemplateSet", "Timeout",
-    "TransportError", "compile_context", "complete", "corrupt_expression",
+    "TransportError", "compile_context", "corrupt_expression",
     "describe", "interpret_context", "judge", "judge_context",
     "load_fixtures", "load_template", "load_template_set",
     "parse_description", "parse_judge_answer", "prompt_hash",

@@ -282,13 +282,6 @@ class Provider:
         return self._rng(prompt).random() < self.config.corruption_prob
 
 
-def complete(provider: Provider | ProviderConfig, prompt: str) -> str:
-    """Single-turn completion; returns the reply text."""
-    if isinstance(provider, ProviderConfig):
-        provider = Provider(provider)
-    return provider.complete(prompt).text
-
-
 def load_fixtures(path: str | Path) -> dict[str, str]:
     fixtures: dict[str, str] = {}
     for line in Path(path).read_text(encoding="utf-8").splitlines():

@@ -30,7 +30,7 @@ from .nodes import (
     flatten_or,
 )
 from .parse import ArityError, ParseError, parse_fol, parse_prop, parse_regex
-from .printer import canonical_text, make_expression, print_canonical
+from .printer import canonical_text, make_expression
 from .simplify import simplify_expression
 
 __all__ = [
@@ -41,7 +41,7 @@ __all__ = [
     "RegexAst", "Star", "Variable", "canonical_text", "complexity",
     "extract_formal", "flatten_and", "flatten_or", "make_expression",
     "parse_expression", "parse_fol", "parse_prop", "parse_regex",
-    "print_canonical", "simplify_expression",
+    "simplify_expression",
 ]
 
 

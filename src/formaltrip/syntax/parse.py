@@ -9,7 +9,7 @@ equivalence is the verifiers' job.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import string
 
 from .nodes import (
     EXISTS,
@@ -56,7 +56,7 @@ class ArityError(ParseError):
 
 
 # ---------------------------------------------------------------------------
-# shared logic tokenizer
+# shared logic tokenizer and parser
 
 NOT_WORDS = {"¬", "~", "!", "not", "NOT", "Not"}
 AND_WORDS = {"∧", "&", "&&", "and", "AND", "And", "/\\"}
@@ -67,180 +67,159 @@ EXISTS_WORDS = {"∃", "exists", "EXISTS", "Exists", "exist"}
 _REJECTED = {"→", "↔", "⇒", "⇔", "=>", "<=>", "=", "≠", "!=", "+", "?"}
 
 _LOGIC_TOKEN = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>¬|∧|∨|∀|∃|&&|\|\||<=>|=>|!=|/\\|\\/|[~!&|().,=≠→↔⇒⇔+?*])"
-    r"|(?P<bad>\S))"
+    r"[A-Za-z_][A-Za-z0-9_]*"
+    r"|¬|∧|∨|∀|∃|&&|\|\||<=>|=>|!=|/\\|\\/|[~!&|().,=≠→↔⇒⇔+?*]"
+    r"|\S"
 )
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_WORD_CLASS = {
+    word: cls
+    for cls, words in (
+        ("not", NOT_WORDS), ("and", AND_WORDS), ("or", OR_WORDS),
+        (FORALL, FORALL_WORDS), (EXISTS, EXISTS_WORDS),
+    )
+    for word in words
+}
+# an accepted token either starts like an identifier or is one of these
+_OPERATORS = frozenset(_WORD_CLASS) | {"(", ")", ".", ",", "*"}
+_END = ""  # appended after the last token
 
 
-@dataclass
-class _Tok:
-    kind: str  # 'ident' | 'op'
-    text: str
-    pos: int
+class _Failure(Exception):
+    """A parse error located by token index; `_located` turns it into a
+    ParseError with a source position."""
+
+    def __init__(self, message: str, index: int, expected: str):
+        super().__init__(message)
+        self.index = index
+        self.expected = expected
 
 
-def _tokenize_logic(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i = 0
-    while i < len(text):
-        m = _LOGIC_TOKEN.match(text, i)
-        if not m or m.end() == i:
-            break
-        if m.group("bad"):
-            raise ParseError(f"unexpected character {m.group('bad')!r}", m.start("bad"))
-        if m.group("ident"):
-            toks.append(_Tok("ident", m.group("ident"), m.start("ident")))
-        else:
-            op = m.group("op")
-            if op in _REJECTED:
-                raise ParseError(f"operator {op!r} is not part of the grammar", m.start("op"))
-            toks.append(_Tok("op", op, m.start("op")))
-        i = m.end()
-    return toks
+def _located(text: str, failure: _Failure) -> ParseError:
+    """The ParseError for `failure`. A rejected operator or a character
+    outside the grammar anywhere in `text` is reported instead, as the
+    first thing wrong with the input; otherwise the failing token's start
+    is found by tokenizing again, which is only paid for on errors."""
+    position = len(text)
+    for i, m in enumerate(_LOGIC_TOKEN.finditer(text)):
+        tok = m.group()
+        if tok in _REJECTED:
+            return ParseError(f"operator {tok!r} is not part of the grammar", m.start())
+        if tok[0] not in _IDENT_START and tok not in _OPERATORS:
+            return ParseError(f"unexpected character {tok!r}", m.start())
+        if i == failure.index:
+            position = m.start()
+    return ParseError(str(failure), position, failure.expected)
 
 
-class _Cursor:
-    def __init__(self, toks: list[_Tok], length: int):
-        self.toks = toks
-        self.i = 0
-        self.length = length
-
-    def peek(self) -> _Tok | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def next(self) -> _Tok:
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of input", self.length, "expression")
-        self.i += 1
-        return t
-
-    def expect_op(self, text: str):
-        t = self.peek()
-        if t is None or t.kind != "op" or t.text != text:
-            pos = t.pos if t else self.length
-            raise ParseError(f"expected {text!r}", pos, text)
-        self.i += 1
-
-    def at_end(self) -> bool:
-        return self.i >= len(self.toks)
-
-
-def _word_class(tok: _Tok) -> str | None:
-    """Map a token to its operator class, treating alias words as operators."""
-    if tok.text in NOT_WORDS:
-        return "not"
-    if tok.text in AND_WORDS:
-        return "and"
-    if tok.text in OR_WORDS:
-        return "or"
-    if tok.text in FORALL_WORDS:
-        return "forall"
-    if tok.text in EXISTS_WORDS:
-        return "exists"
-    return None
-
-
-# ---------------------------------------------------------------------------
-# propositional logic
-
-def parse_prop(text: str) -> LogicNode:
-    """Parse a propositional formula; ASCII aliases are accepted."""
+def _parse_logic(text: str, fol: bool) -> LogicNode:
     if not text.strip():
         raise ParseError("empty input", 0, "formula")
-    toks = _tokenize_logic(text)
-    cur = _Cursor(toks, len(text))
-    node = _parse_or(cur, fol=False, scopes=[])
-    if not cur.at_end():
-        t = cur.peek()
-        raise ParseError(f"trailing input {t.text!r}", t.pos, "end of input")
+    toks = _LOGIC_TOKEN.findall(text)
+    toks.append(_END)
+    parser = _LogicParser(toks, fol)
+    try:
+        node = parser.disjunction()
+        tok = toks[parser.i]
+        if tok != _END:
+            raise _Failure(f"trailing input {tok!r}", parser.i, "end of input")
+    except _Failure as failure:
+        raise _located(text, failure) from None
     return node
 
 
-def _parse_or(cur: _Cursor, fol: bool, scopes: list[set[str]]) -> LogicNode:
-    parts = [_parse_and(cur, fol, scopes)]
-    while (t := cur.peek()) is not None and _word_class(t) == "or":
-        cur.next()
-        parts.append(_parse_and(cur, fol, scopes))
-    return flatten_or(parts) if len(parts) > 1 else parts[0]
+class _LogicParser:
+    """Recursive descent over a token list that ends with `_END`. Any token
+    that is neither an identifier nor an operator stops every rule, so a
+    parse that succeeds has met none."""
 
+    def __init__(self, toks: list[str], fol: bool):
+        self.toks = toks
+        self.i = 0
+        self.fol = fol
+        self.scopes: list[set[str]] = []
 
-def _parse_and(cur: _Cursor, fol: bool, scopes: list[set[str]]) -> LogicNode:
-    parts = [_parse_unary(cur, fol, scopes)]
-    while (t := cur.peek()) is not None and _word_class(t) == "and":
-        cur.next()
-        parts.append(_parse_unary(cur, fol, scopes))
-    return flatten_and(parts) if len(parts) > 1 else parts[0]
+    def take(self) -> str:
+        """The next token, consumed; end of input is an error."""
+        tok = self.toks[self.i]
+        if tok == _END:
+            raise _Failure("unexpected end of input", self.i, "expression")
+        self.i += 1
+        return tok
 
+    def disjunction(self) -> LogicNode:
+        parts = [self.conjunction()]
+        while self.toks[self.i] in OR_WORDS:
+            self.i += 1
+            parts.append(self.conjunction())
+        return flatten_or(parts) if len(parts) > 1 else parts[0]
 
-def _parse_unary(cur: _Cursor, fol: bool, scopes: list[set[str]]) -> LogicNode:
-    t = cur.peek()
-    if t is None:
-        raise ParseError("unexpected end of input", cur.length, "formula")
-    cls = _word_class(t)
-    if cls == "not":
-        cur.next()
-        return Not(_parse_unary(cur, fol, scopes))
-    if fol and cls in (FORALL, EXISTS):
-        return _parse_quantified(cur, scopes)
-    return _parse_atom(cur, fol, scopes)
+    def conjunction(self) -> LogicNode:
+        parts = [self.unary()]
+        while self.toks[self.i] in AND_WORDS:
+            self.i += 1
+            parts.append(self.unary())
+        return flatten_and(parts) if len(parts) > 1 else parts[0]
 
+    def unary(self) -> LogicNode:
+        """A negation, a quantified formula (first-order only), a
+        parenthesized formula or an atom."""
+        tok = self.toks[self.i]
+        self.i += 1
+        cls = _WORD_CLASS.get(tok)
+        if cls == "not":
+            return Not(self.unary())
+        if self.fol and (cls == FORALL or cls == EXISTS):
+            return self.quantified(cls)
+        if tok == "(":
+            node = self.disjunction()
+            if self.toks[self.i] != ")":
+                raise _Failure("expected ')'", self.i, ")")
+            self.i += 1
+            return node
+        if tok[:1] in _IDENT_START:
+            return self.predicate(tok) if self.fol else Proposition(tok)
+        if tok == _END:
+            raise _Failure("unexpected end of input", self.i - 1, "formula")
+        raise _Failure(f"unexpected {tok!r}", self.i - 1, "atom")
 
-def _parse_quantified(cur: _Cursor, scopes: list[set[str]]) -> LogicNode:
-    t = cur.next()
-    kind = FORALL if _word_class(t) == FORALL else EXISTS
-    variables: list[str] = []
-    while (nxt := cur.peek()) is not None:
-        if nxt.kind != "ident" or _word_class(nxt) is not None:
-            break
-        # once at least one variable is read, an identifier followed by '('
-        # starts the matrix (a predicate application), e.g. "∀x1 pred3(p5, x1)"
-        after = cur.toks[cur.i + 1] if cur.i + 1 < len(cur.toks) else None
-        if after is not None and after.kind == "op" and after.text == "(" and variables:
-            break
-        variables.append(nxt.text)
-        cur.next()
-    if (nxt := cur.peek()) is not None and nxt.kind == "op" and nxt.text == ".":
-        cur.next()
-    if not variables:
-        raise ParseError("quantifier binds no variables", t.pos, "variable list")
-    scopes.append(set(variables))
-    # maximal scope: the body is the rest of the current subformula
-    body = _parse_or(cur, fol=True, scopes=scopes)
-    scopes.pop()
-    return Quantified(kind, tuple(variables), body)
-
-
-def _parse_atom(cur: _Cursor, fol: bool, scopes: list[set[str]]) -> LogicNode:
-    t = cur.next()
-    if t.kind == "op" and t.text == "(":
-        node = _parse_or(cur, fol, scopes)
-        cur.expect_op(")")
-        return node
-    if t.kind == "ident":
-        if fol:
-            return _parse_predicate(cur, t, scopes)
-        return Proposition(t.text)
-    raise ParseError(f"unexpected {t.text!r}", t.pos, "atom")
-
-
-def _parse_predicate(cur: _Cursor, name_tok: _Tok, scopes: list[set[str]]) -> Atom:
-    terms: list[Constant | Variable] = []
-    nxt = cur.peek()
-    if nxt is not None and nxt.kind == "op" and nxt.text == "(":
-        cur.next()
-        while True:
-            arg = cur.next()
-            if arg.kind != "ident":
-                raise ParseError(f"expected term, got {arg.text!r}", arg.pos, "term")
-            terms.append(_classify_term(arg.text, scopes))
-            sep = cur.next()
-            if sep.kind == "op" and sep.text == ")":
+    def quantified(self, kind: str) -> LogicNode:
+        """The variables and body after a quantifier token."""
+        toks = self.toks
+        start = self.i - 1
+        variables: list[str] = []
+        while (tok := toks[self.i])[:1] in _IDENT_START and tok not in _WORD_CLASS:
+            # once at least one variable is read, an identifier followed by '('
+            # starts the matrix (a predicate application), e.g. "∀x1 pred3(p5, x1)"
+            if variables and toks[self.i + 1] == "(":
                 break
-            if not (sep.kind == "op" and sep.text == ","):
-                raise ParseError(f"expected ',' or ')', got {sep.text!r}", sep.pos, ", or )")
-    return Atom(name_tok.text, tuple(terms))
+            variables.append(tok)
+            self.i += 1
+        if toks[self.i] == ".":
+            self.i += 1
+        if not variables:
+            raise _Failure("quantifier binds no variables", start, "variable list")
+        self.scopes.append(set(variables))
+        # maximal scope: the body is the rest of the current subformula
+        body = self.disjunction()
+        self.scopes.pop()
+        return Quantified(kind, tuple(variables), body)
+
+    def predicate(self, name: str) -> Atom:
+        terms: list[Constant | Variable] = []
+        if self.toks[self.i] == "(":
+            self.i += 1
+            while True:
+                arg = self.take()
+                if arg[0] not in _IDENT_START:
+                    raise _Failure(f"expected term, got {arg!r}", self.i - 1, "term")
+                terms.append(_classify_term(arg, self.scopes))
+                sep = self.take()
+                if sep == ")":
+                    break
+                if sep != ",":
+                    raise _Failure(f"expected ',' or ')', got {sep!r}", self.i - 1, ", or )")
+        return Atom(name, tuple(terms))
 
 
 def _classify_term(name: str, scopes: list[set[str]]) -> Constant | Variable:
@@ -249,6 +228,14 @@ def _classify_term(name: str, scopes: list[set[str]]) -> Constant | Variable:
         if name in scope:
             return Variable(name)
     return Constant(name)
+
+
+# ---------------------------------------------------------------------------
+# propositional logic
+
+def parse_prop(text: str) -> LogicNode:
+    """Parse a propositional formula; ASCII aliases are accepted."""
+    return _parse_logic(text, fol=False)
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +248,7 @@ def parse_fol(text: str) -> FolFormula:
     kept in the matrix and clear the prenex flag. Terms bound by an
     enclosing quantifier are variables, all others constants.
     """
-    if not text.strip():
-        raise ParseError("empty input", 0, "formula")
-    toks = _tokenize_logic(text)
-    cur = _Cursor(toks, len(text))
-    node = _parse_or(cur, fol=True, scopes=[])
-    if not cur.at_end():
-        t = cur.peek()
-        raise ParseError(f"trailing input {t.text!r}", t.pos, "end of input")
-    formula = FolFormula.from_matrix(node)
+    formula = FolFormula.from_matrix(_parse_logic(text, fol=True))
     _check_arities(formula.matrix, {})
     return formula
 

@@ -68,10 +68,6 @@ def print_regex(node: RegexAst) -> str:
     raise TypeError(f"not a regex node: {node!r}")
 
 
-def print_canonical(expr: FormalExpression) -> str:
-    return canonical_text(expr.formalism, expr.ast)
-
-
 def canonical_text(formalism: str, ast) -> str:
     if formalism == "prop":
         return print_logic(ast)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..syntax.nodes import (
     EXISTS,
@@ -71,7 +71,6 @@ class FiniteModel:
     domain_size: int
     constants: dict[str, int]
     predicates: dict[str, frozenset[tuple[int, ...]]]
-    functions: dict[str, dict[tuple[int, ...], int]] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------

@@ -148,26 +148,35 @@ def determinize_minimize(nfa: Nfa) -> CanonicalDfa:
 
 
 def _determinize(nfa: Nfa) -> Dfa:
-    eps: dict[int, list[int]] = {}
-    step: dict[tuple[int, str], set[int]] = {}
+    eps: list[list[int]] = [[] for _ in range(nfa.n_states)]
+    step: dict[tuple[int, str], list[int]] = {}
     for src, label, dst in nfa.transitions:
         if label is None:
-            eps.setdefault(src, []).append(dst)
+            eps[src].append(dst)
         else:
-            step.setdefault((src, label), set()).add(dst)
+            step.setdefault((src, label), []).append(dst)
 
-    def closure(states: frozenset[int]) -> frozenset[int]:
-        stack = list(states)
-        out = set(states)
+    def closure(state: int) -> frozenset[int]:
+        stack = [state]
+        out = {state}
         while stack:
-            s = stack.pop()
-            for t in eps.get(s, ()):
+            for t in eps[stack.pop()]:
                 if t not in out:
                     out.add(t)
                     stack.append(t)
         return frozenset(out)
 
-    start = closure(frozenset({nfa.start}))
+    closures = [closure(s) for s in range(nfa.n_states)]
+    # per NFA state and symbol, the closure of the states one step away; the
+    # closure of a union is the union of closures, so a subset's successor
+    # is the union of its members' moves
+    empty: frozenset[int] = frozenset()
+    moves = [
+        [empty.union(*[closures[t] for t in step.get((s, sym), ())]) for sym in nfa.alphabet]
+        for s in range(nfa.n_states)
+    ]
+
+    start = closures[nfa.start]
     index: dict[frozenset[int], int] = {start: 0}
     order = [start]
     rows: list[list[int]] = []
@@ -175,11 +184,8 @@ def _determinize(nfa: Nfa) -> Dfa:
     while queue:
         subset = queue.popleft()
         row = []
-        for sym in nfa.alphabet:
-            nxt: set[int] = set()
-            for s in subset:
-                nxt.update(step.get((s, sym), ()))
-            target = closure(frozenset(nxt))
+        for k in range(len(nfa.alphabet)):
+            target = empty.union(*[moves[s][k] for s in subset])
             if target not in index:
                 index[target] = len(order)
                 order.append(target)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import formaltrip
 from formaltrip.cli import main
 
 
@@ -132,6 +136,18 @@ def test_judge_subcommand(dataset_dir, tmp_path):
 )
 def test_verify_exit_codes(formalism, left, right, expected):
     assert run_cli("verify", formalism, left, right) == expected
+
+
+def test_python_dash_m_runs_the_cli():
+    # the package's own directory's parent, so a source checkout works uninstalled
+    src = str(Path(formaltrip.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-m", "formaltrip", "verify", "prop", "p1", "p1"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "verdict: equivalent\n"
 
 
 def test_report_on_missing_files_fails(tmp_path):

@@ -16,6 +16,9 @@ ERRORS = [
     ("prop", "p1 = p2", ParseError, "operator '=' is not part of the grammar", 3, ""),
     ("prop", "p1 ? p2", ParseError, "operator '?' is not part of the grammar", 3, ""),
     ("prop", "¬¬p1 ⇔ p2", ParseError, "operator '⇔' is not part of the grammar", 5, ""),
+    # a stray character or rejected operator wins over an earlier syntax error
+    ("prop", "p1 p2 #", ParseError, "unexpected character '#'", 6, ""),
+    ("fol", "pred1() → p1", ParseError, "operator '→' is not part of the grammar", 8, ""),
     ("prop", "(p1 ∧ p2", ParseError, "expected ')'", 8, ")"),
     ("prop", "((p1)", ParseError, "expected ')'", 5, ")"),
     ("prop", "p1 p2", ParseError, "trailing input 'p2'", 3, "end of input"),

@@ -149,43 +149,45 @@ def determinize_minimize(nfa: Nfa) -> CanonicalDfa:
 
 def _determinize(nfa: Nfa) -> Dfa:
     eps: list[list[int]] = [[] for _ in range(nfa.n_states)]
-    step: dict[tuple[int, str], list[int]] = {}
     for src, label, dst in nfa.transitions:
         if label is None:
             eps[src].append(dst)
-        else:
-            step.setdefault((src, label), []).append(dst)
+    closures: dict[int, frozenset[int]] = {}
 
     def closure(state: int) -> frozenset[int]:
-        stack = [state]
-        out = {state}
-        while stack:
-            for t in eps[stack.pop()]:
-                if t not in out:
-                    out.add(t)
-                    stack.append(t)
-        return frozenset(out)
+        if state not in closures:
+            stack = [state]
+            out = {state}
+            while stack:
+                for t in eps[stack.pop()]:
+                    if t not in out:
+                        out.add(t)
+                        stack.append(t)
+            closures[state] = frozenset(out)
+        return closures[state]
 
-    closures = [closure(s) for s in range(nfa.n_states)]
-    # per NFA state and symbol, the closure of the states one step away; the
-    # closure of a union is the union of closures, so a subset's successor
-    # is the union of its members' moves
+    # per NFA state with symbol edges and per symbol, the closure of the
+    # states one step away; the closure of a union is the union of closures,
+    # so a subset's successor is the union of its members' moves
     empty: frozenset[int] = frozenset()
-    moves = [
-        [empty.union(*[closures[t] for t in step.get((s, sym), ())]) for sym in nfa.alphabet]
-        for s in range(nfa.n_states)
-    ]
+    symbol_index = {sym: k for k, sym in enumerate(nfa.alphabet)}
+    moves: dict[int, list[frozenset[int]]] = {}
+    for src, label, dst in nfa.transitions:
+        if label is not None:
+            row = moves.setdefault(src, [empty] * len(nfa.alphabet))
+            row[symbol_index[label]] |= closure(dst)
 
-    start = closures[nfa.start]
+    start = closure(nfa.start)
     index: dict[frozenset[int], int] = {start: 0}
     order = [start]
     rows: list[list[int]] = []
     queue = deque([start])
     while queue:
         subset = queue.popleft()
+        members = [moves[s] for s in subset if s in moves]
         row = []
         for k in range(len(nfa.alphabet)):
-            target = empty.union(*[moves[s][k] for s in subset])
+            target = empty.union(*[m[k] for m in members])
             if target not in index:
                 index[target] = len(order)
                 order.append(target)

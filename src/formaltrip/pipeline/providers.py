@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..syntax import And, Not, Or, Star, extract_formal, make_expression
-from ..syntax.nodes import Concat, FolFormula, FormalExpression, Quantified
+from ..syntax.nodes import FolFormula, FormalExpression, children, rebuild
 from ..verify import ProverBudget, verify_pair
 from . import nl_codec
 
@@ -105,7 +105,9 @@ class ResponseCache:
         self._lock = threading.Lock()
         self._entries: dict[str, str] = {}
         if self.path and self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
+            from ..storage import read_complete_lines  # storage imports this package
+
+            for line in read_complete_lines(self.path):
                 if line.strip():
                     row = json.loads(line)
                     self._entries[row["key"]] = row["reply"]
@@ -230,9 +232,10 @@ class Provider:
                 )
                 if logger.isEnabledFor(logging.DEBUG):
                     logger.debug("response attempt=%d body=%s", attempt, body)
+                text = _reply_text(body)
                 usage = body.get("usage", {})
                 return Completion(
-                    text=body["choices"][0]["message"]["content"],
+                    text=text,
                     attempts=attempt,
                     seconds=time.monotonic() - started,
                     prompt_tokens=usage.get("prompt_tokens"),
@@ -289,6 +292,18 @@ def load_fixtures(path: str | Path) -> dict[str, str]:
             row = json.loads(line)
             fixtures[row["prompt_sha256"]] = row["reply"]
     return fixtures
+
+
+def _reply_text(body) -> str:
+    """The reply of a chat-completions body. A body without one is an
+    error on its record; asking again would not mend it."""
+    try:
+        text = body["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError):
+        text = None
+    if not isinstance(text, str):
+        raise ProviderError(f"response has no choices[0].message.content: {str(body)[:200]}")
+    return text
 
 
 def _http_transport(endpoint: str, payload: dict, headers: dict, timeout: float) -> dict:
@@ -360,78 +375,38 @@ def _formalism_of(prompt: str) -> str:
 # corruption (metric plumbing tests)
 
 def corrupt_expression(expr: FormalExpression, rng: random.Random) -> FormalExpression:
-    """Flip exactly one operator; falls back to a wrapping when none exists."""
-    if expr.formalism == "regex":
-        stars = _star_paths(expr.ast, ())
-        if stars:
-            path = stars[rng.randrange(len(stars))]
-            return make_expression("regex", _unwrap_star(expr.ast, path))
-        return make_expression("regex", Star(expr.ast))
+    """Flip exactly one operator; falls back to a wrapping when none exists.
+
+    A logic formula gets one And/Or swapped, a regex loses one star; the
+    operator is drawn by its rank in pre-order."""
+    regex = expr.formalism == "regex"
     root = expr.ast.matrix if expr.formalism == "fol" else expr.ast
-    flippable = _binary_paths(root, ())
-    if flippable:
-        path = flippable[rng.randrange(len(flippable))]
-        new_root = _flip_at(root, path)
+    paths = _paths(root, (Star,) if regex else (And, Or))
+    if paths:
+        path = paths[rng.randrange(len(paths))]
+        if regex:
+            new_root = _replace_at(root, path, lambda star: star.child)
+        else:
+            new_root = _replace_at(root, path, lambda n: (Or if type(n) is And else And)(n.children))
     else:
-        new_root = Not(root)
+        new_root = Star(root) if regex else Not(root)
     if expr.formalism == "fol":
-        return make_expression("fol", FolFormula(expr.ast.prefix, new_root))
-    return make_expression("prop", new_root)
+        new_root = FolFormula(expr.ast.prefix, new_root)
+    return make_expression(expr.formalism, new_root)
 
 
-def _binary_paths(node, path) -> list[tuple]:
-    out = []
-    if isinstance(node, (And, Or)):
-        out.append(path)
-        for i, c in enumerate(node.children):
-            out.extend(_binary_paths(c, path + (i,)))
-    elif isinstance(node, Not):
-        out.extend(_binary_paths(node.child, path + (0,)))
-    elif isinstance(node, Quantified):
-        out.extend(_binary_paths(node.body, path + (0,)))
+def _paths(node, types, path=()) -> list[tuple[int, ...]]:
+    """Child-index paths from `node` to each node of one of `types`, in pre-order."""
+    out = [path] if type(node) in types else []
+    for i, child in enumerate(children(node)):
+        out += _paths(child, types, path + (i,))
     return out
 
 
-def _flip_at(node, path):
+def _replace_at(node, path, edit):
+    """`node` with the subtree at `path` replaced by `edit` of it."""
     if not path:
-        if isinstance(node, And):
-            return Or(node.children)
-        if isinstance(node, Or):
-            return And(node.children)
-        raise ValueError("path does not address a binary operator")
-    i = path[0]
-    if isinstance(node, (And, Or)):
-        children = list(node.children)
-        children[i] = _flip_at(children[i], path[1:])
-        return type(node)(tuple(children))
-    if isinstance(node, Not):
-        return Not(_flip_at(node.child, path[1:]))
-    if isinstance(node, Quantified):
-        return Quantified(node.kind, node.variables, _flip_at(node.body, path[1:]))
-    raise ValueError("invalid path")
-
-
-def _star_paths(node, path) -> list[tuple]:
-    out = []
-    if isinstance(node, Star):
-        out.append(path)
-        out.extend(_star_paths(node.child, path + (0,)))
-    elif isinstance(node, Concat):
-        for i, c in enumerate(node.children):
-            out.extend(_star_paths(c, path + (i,)))
-    return out
-
-
-def _unwrap_star(node, path):
-    if not path:
-        if isinstance(node, Star):
-            return node.child
-        raise ValueError("path does not address a star")
-    i = path[0]
-    if isinstance(node, Concat):
-        children = list(node.children)
-        children[i] = _unwrap_star(children[i], path[1:])
-        return Concat(tuple(children))
-    if isinstance(node, Star):
-        return Star(_unwrap_star(node.child, path[1:]))
-    raise ValueError("invalid path")
+        return edit(node)
+    kids = list(children(node))
+    kids[path[0]] = _replace_at(kids[path[0]], path[1:], edit)
+    return rebuild(node, kids)

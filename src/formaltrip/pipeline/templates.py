@@ -13,18 +13,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from ..syntax.nodes import (
-    And,
-    Atom,
-    Constant,
-    FolFormula,
-    FormalExpression,
-    Not,
-    Or,
-    Proposition,
-    Quantified,
-    Variable,
-)
+from ..syntax.nodes import Atom, Constant, FolFormula, FormalExpression, Proposition, Quantified, walk
 
 INTERPRET = "interpret"
 COMPILE = "compile"
@@ -109,7 +98,7 @@ def judge_context(formula1: str, formula2: str) -> dict:
 
 def vocabulary_block(expr: FormalExpression) -> str:
     if expr.formalism == "prop":
-        names = _ordered_propositions(expr.ast)
+        names = dict.fromkeys(n.name for n in walk(expr.ast) if type(n) is Proposition)
         return "The propositions are: " + ", ".join(names)
     if expr.formalism == "fol":
         objects, predicates, variables = _fol_symbols(expr.ast)
@@ -130,20 +119,6 @@ def vocabulary_block(expr: FormalExpression) -> str:
     raise ValueError(f"unknown formalism {expr.formalism!r}")
 
 
-def _ordered_propositions(node, seen=None) -> list[str]:
-    if seen is None:
-        seen = []
-    if isinstance(node, Proposition):
-        if node.name not in seen:
-            seen.append(node.name)
-    elif isinstance(node, Not):
-        _ordered_propositions(node.child, seen)
-    elif isinstance(node, (And, Or)):
-        for c in node.children:
-            _ordered_propositions(c, seen)
-    return seen
-
-
 def _fol_symbols(formula: FolFormula):
     objects: list[str] = []
     predicates: list[tuple[str, int]] = []
@@ -152,26 +127,17 @@ def _fol_symbols(formula: FolFormula):
         for v in names:
             if v not in variables:
                 variables.append(v)
-
-    def walk(node):
-        if isinstance(node, Atom):
+    for node in walk(formula.matrix):
+        t = type(node)
+        if t is Atom:
             if (node.predicate, len(node.terms)) not in predicates:
                 predicates.append((node.predicate, len(node.terms)))
-            for t in node.terms:
-                if isinstance(t, Constant) and t.name not in objects:
-                    objects.append(t.name)
-                if isinstance(t, Variable) and t.name not in variables:
-                    variables.append(t.name)
-        elif isinstance(node, Not):
-            walk(node.child)
-        elif isinstance(node, (And, Or)):
-            for c in node.children:
-                walk(c)
-        elif isinstance(node, Quantified):
+            for term in node.terms:
+                seen = objects if type(term) is Constant else variables
+                if term.name not in seen:
+                    seen.append(term.name)
+        elif t is Quantified:
             for v in node.variables:
                 if v not in variables:
                     variables.append(v)
-            walk(node.body)
-
-    walk(formula.matrix)
     return objects, predicates, variables

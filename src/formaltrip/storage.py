@@ -40,6 +40,19 @@ def read_jsonl(path: str | Path) -> list[dict]:
     return out
 
 
+def read_complete_lines(path: str | Path) -> list[str]:
+    """The lines of a file about to be appended to. An unterminated last
+    line, left by an interrupted write, is cut off the file, so that the
+    next append starts a fresh line."""
+    data = Path(path).read_bytes()
+    end = data.rfind(b"\n") + 1
+    if end < len(data):
+        with Path(path).open("r+b") as fh:
+            fh.truncate(end)
+    # split on "\n" alone: dumps leaves U+2028 and friends unescaped
+    return data[:end].decode("utf-8").split("\n")[:-1]
+
+
 def config_hash(config: dict) -> str:
     return hashlib.sha256(dumps(config).encode("utf-8")).hexdigest()
 
@@ -165,9 +178,11 @@ class ResultWriter:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.existing_ids: set[str] = set()
+        rows = []
         if resume and self.path.exists():
-            rows = read_jsonl(self.path)
-            if rows and rows[0].get("kind") == "header":
+            rows = [json.loads(line) for line in read_complete_lines(self.path) if line.strip()]
+        if rows:
+            if rows[0].get("kind") == "header":
                 if rows[0].get("config_hash") != header.get("config_hash"):
                     raise ValueError(
                         "resume config mismatch: result file was produced by a "

@@ -8,63 +8,23 @@ measures are filled in separately by the regex verifier.
 
 from __future__ import annotations
 
-from .nodes import (
-    And,
-    Atom,
-    ComplexityProfile,
-    Concat,
-    FolFormula,
-    FormalExpression,
-    Literal,
-    Not,
-    Or,
-    Proposition,
-    Quantified,
-    Star,
-)
+from .nodes import FORMALISMS, And, ComplexityProfile, FormalExpression, Not, Or, Star, walk
 
 
 def complexity(expr: FormalExpression, cfg_depth: int | None = None) -> ComplexityProfile:
-    profile = ComplexityProfile(cfg_depth=cfg_depth)
-    ast = expr.ast
-    if expr.formalism == "fol":
-        _count_logic(ast.matrix, profile)
-        profile.operator_total = profile.and_count + profile.or_count + profile.not_count
-    elif expr.formalism == "prop":
-        _count_logic(ast, profile)
-        profile.operator_total = profile.and_count + profile.or_count + profile.not_count
-    elif expr.formalism == "regex":
-        profile.operator_total = _count_stars(ast)
-    else:
+    if expr.formalism not in FORMALISMS:
         raise ValueError(f"unknown formalism {expr.formalism!r}")
+    profile = ComplexityProfile(cfg_depth=cfg_depth)
+    stars = 0
+    for node in walk(expr.ast):
+        t = type(node)
+        if t is Not:
+            profile.not_count += 1
+        elif t is And:
+            profile.and_count += len(node.children) - 1
+        elif t is Or:
+            profile.or_count += len(node.children) - 1
+        elif t is Star:
+            stars += 1
+    profile.operator_total = profile.and_count + profile.or_count + profile.not_count + stars
     return profile
-
-
-def _count_logic(node, profile: ComplexityProfile):
-    if isinstance(node, (Proposition, Atom)):
-        return
-    if isinstance(node, Not):
-        profile.not_count += 1
-        _count_logic(node.child, profile)
-    elif isinstance(node, And):
-        profile.and_count += len(node.children) - 1
-        for c in node.children:
-            _count_logic(c, profile)
-    elif isinstance(node, Or):
-        profile.or_count += len(node.children) - 1
-        for c in node.children:
-            _count_logic(c, profile)
-    elif isinstance(node, Quantified):
-        _count_logic(node.body, profile)
-    elif isinstance(node, FolFormula):
-        _count_logic(node.matrix, profile)
-
-
-def _count_stars(node) -> int:
-    if isinstance(node, Literal):
-        return 0
-    if isinstance(node, Star):
-        return 1 + _count_stars(node.child)
-    if isinstance(node, Concat):
-        return sum(_count_stars(c) for c in node.children)
-    raise TypeError(f"not a regex node: {node!r}")

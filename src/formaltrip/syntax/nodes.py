@@ -96,7 +96,7 @@ class FolFormula:
 
     @property
     def prenex(self) -> bool:
-        return not _has_quantifier(self.matrix)
+        return not any(type(node) is Quantified for node in walk(self.matrix))
 
     @staticmethod
     def from_matrix(matrix: LogicNode) -> "FolFormula":
@@ -106,16 +106,6 @@ class FolFormula:
             prefix.append((matrix.kind, matrix.variables))
             matrix = matrix.body
         return FolFormula(prefix=tuple(prefix), matrix=matrix)
-
-
-def _has_quantifier(node: LogicNode) -> bool:
-    if isinstance(node, Quantified):
-        return True
-    if isinstance(node, Not):
-        return _has_quantifier(node.child)
-    if isinstance(node, (And, Or)):
-        return any(_has_quantifier(c) for c in node.children)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +166,66 @@ class ComplexityProfile:
         if v is None:
             raise ValueError(f"metric {metric!r} not available on this profile")
         return v
+
+
+# ---------------------------------------------------------------------------
+# traversal: the only code that knows which fields of a node are subtrees
+
+def children(node) -> tuple:
+    """The direct subexpressions of `node`, left to right; () for leaves."""
+    t = type(node)
+    if t is And or t is Or or t is Concat:
+        return node.children
+    if t is Not or t is Star:
+        return (node.child,)
+    if t is Quantified:
+        return (node.body,)
+    if t is FolFormula:
+        return (node.matrix,)
+    return ()
+
+
+def walk(node):
+    """Yield `node` and every node below it in pre-order: a node before its
+    children, and each child's whole subtree before the next child's. A
+    Quantified node comes before its body, an Atom's terms are not visited.
+
+    This order is a contract: the vocabulary block lists symbols by first
+    occurrence and the corrupting oracle draws an operator by its rank in
+    it, so both change if it does. The dispatch is written out rather than
+    calling `children`, which is measurably slower on every prompt.
+    """
+    stack = [node]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        node = pop()
+        yield node
+        t = type(node)
+        if t is Proposition or t is Atom or t is Literal:
+            continue
+        if t is And or t is Or or t is Concat:
+            stack.extend(node.children[::-1])
+        elif t is Not or t is Star:
+            push(node.child)
+        elif t is Quantified:
+            push(node.body)
+        elif t is FolFormula:
+            push(node.matrix)
+
+
+def rebuild(node, kids):
+    """A node of the same type and non-child fields as `node` over `kids`."""
+    t = type(node)
+    if t is And or t is Or or t is Concat:
+        return t(tuple(kids))
+    if t is Not or t is Star:
+        return t(kids[0])
+    if t is Quantified:
+        return Quantified(node.kind, node.variables, kids[0])
+    if t is FolFormula:
+        return FolFormula(node.prefix, kids[0])
+    return node
 
 
 def flatten_and(children) -> And:

@@ -30,6 +30,7 @@ from .nodes import (
     Variable,
     flatten_and,
     flatten_or,
+    walk,
 )
 
 
@@ -83,6 +84,16 @@ _WORD_CLASS = {
 # an accepted token either starts like an identifier or is one of these
 _OPERATORS = frozenset(_WORD_CLASS) | {"(", ")", ".", ",", "*"}
 _END = ""  # appended after the last token
+
+# The most levels a formula may nest: each '(', negation and quantifier body
+# of a logic formula, and each group and star of a regex, is one level.
+# A depth-40 walk of a built-in grammar nests at most 80 levels, since one
+# rewrite opens two at most (S -> ( ¬ S )); the deepest seen at the default
+# scale was 52. Parsing, printing, the NL codec and the verifiers exceed
+# Python's default recursion limit from about 200 levels, so a deeper reply
+# is rejected here as a parse error rather than crashing later.
+MAX_NESTING = 100
+_TOO_DEEP = f"nesting deeper than {MAX_NESTING} levels"
 
 
 class _Failure(Exception):
@@ -138,6 +149,16 @@ class _LogicParser:
         self.i = 0
         self.fol = fol
         self.scopes: list[set[str]] = []
+        self.depth = 0
+
+    def nested(self, rule) -> LogicNode:
+        """`rule()` one nesting level down."""
+        if self.depth == MAX_NESTING:
+            raise _Failure(_TOO_DEEP, self.i, "shallower formula")
+        self.depth += 1
+        node = rule()
+        self.depth -= 1
+        return node
 
     def take(self) -> str:
         """The next token, consumed; end of input is an error."""
@@ -168,11 +189,11 @@ class _LogicParser:
         self.i += 1
         cls = _WORD_CLASS.get(tok)
         if cls == "not":
-            return Not(self.unary())
+            return Not(self.nested(self.unary))
         if self.fol and (cls == FORALL or cls == EXISTS):
             return self.quantified(cls)
         if tok == "(":
-            node = self.disjunction()
+            node = self.nested(self.disjunction)
             if self.toks[self.i] != ")":
                 raise _Failure("expected ')'", self.i, ")")
             self.i += 1
@@ -201,7 +222,7 @@ class _LogicParser:
             raise _Failure("quantifier binds no variables", start, "variable list")
         self.scopes.append(set(variables))
         # maximal scope: the body is the rest of the current subformula
-        body = self.disjunction()
+        body = self.nested(self.disjunction)
         self.scopes.pop()
         return Quantified(kind, tuple(variables), body)
 
@@ -249,23 +270,14 @@ def parse_fol(text: str) -> FolFormula:
     enclosing quantifier are variables, all others constants.
     """
     formula = FolFormula.from_matrix(_parse_logic(text, fol=True))
-    _check_arities(formula.matrix, {})
+    seen: dict[str, int] = {}
+    for node in walk(formula.matrix):
+        if type(node) is Atom:
+            arity = len(node.terms)
+            expected = seen.setdefault(node.predicate, arity)
+            if arity != expected:
+                raise ArityError(node.predicate, arity, expected)
     return formula
-
-
-def _check_arities(node: LogicNode, seen: dict[str, int]):
-    if isinstance(node, Atom):
-        arity = len(node.terms)
-        if node.predicate in seen and seen[node.predicate] != arity:
-            raise ArityError(node.predicate, arity, seen[node.predicate])
-        seen[node.predicate] = arity
-    elif isinstance(node, Not):
-        _check_arities(node.child, seen)
-    elif isinstance(node, (And, Or)):
-        for c in node.children:
-            _check_arities(c, seen)
-    elif isinstance(node, Quantified):
-        _check_arities(node.body, seen)
 
 
 # ---------------------------------------------------------------------------
@@ -286,20 +298,25 @@ def parse_regex(text: str, alphabet: set[str] | None = None) -> RegexAst:
     if alphabet is None:
         alphabet = DIGIT_ALPHABET
     stripped = text.strip()
-    node, i = _parse_regex_concat(stripped, 0, alphabet)
+    node, i, _ = _parse_regex_concat(stripped, 0, alphabet, 0)
     if i != len(stripped):
         raise ParseError(f"trailing input {stripped[i]!r}", i, "end of input")
     return node
 
 
-def _parse_regex_concat(s: str, i: int, alphabet) -> tuple[RegexAst, int]:
+def _parse_regex_concat(s: str, i: int, alphabet, depth: int) -> tuple[RegexAst, int, int]:
+    """The concatenation from s[i] inside `depth` groups, the index after
+    it, and its deepest nesting level counted from the outermost group."""
     parts: list[RegexAst] = []
+    deepest = depth
     while i < len(s):
         ch = s[i]
         if ch == ")":
             break
         if ch == "(":
-            inner, j = _parse_regex_concat(s, i + 1, alphabet)
+            if depth == MAX_NESTING:
+                raise ParseError(_TOO_DEEP, i, "shallower regex")
+            inner, j, level = _parse_regex_concat(s, i + 1, alphabet, depth + 1)
             if j >= len(s) or s[j] != ")":
                 raise ParseError("unbalanced parenthesis", i, ")")
             i = j + 1
@@ -315,19 +332,25 @@ def _parse_regex_concat(s: str, i: int, alphabet) -> tuple[RegexAst, int]:
             if ch not in alphabet:
                 raise ParseError(f"symbol {ch!r} outside the alphabet", i, "alphabet symbol")
             node = Literal(ch)
+            level = depth
             i += 1
         while i < len(s) and s[i] == "*":
+            if level == MAX_NESTING:
+                raise ParseError(_TOO_DEEP, i, "shallower regex")
             node = Star(node)
+            level += 1
             i += 1
+        if level > deepest:
+            deepest = level
         parts.append(node)
     if not parts:
         raise ParseError("empty group", i, "regex")
     if len(parts) == 1:
-        return parts[0], i
+        return parts[0], i, deepest
     flat: list[RegexAst] = []
     for p in parts:
         if isinstance(p, Concat):
             flat.extend(p.children)
         else:
             flat.append(p)
-    return Concat(tuple(flat)), i
+    return Concat(tuple(flat)), i, deepest

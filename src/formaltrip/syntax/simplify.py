@@ -8,64 +8,30 @@ expected to confirm equivalence with the matching verifier.
 
 from __future__ import annotations
 
-from .nodes import (
-    And,
-    Atom,
-    Concat,
-    FolFormula,
-    FormalExpression,
-    Literal,
-    Not,
-    Or,
-    Proposition,
-    Quantified,
-    Star,
-    flatten_and,
-    flatten_or,
-)
+from .nodes import And, FormalExpression, Not, Or, Star, children, flatten_and, flatten_or, rebuild
 from .printer import make_expression
 
 
 def simplify_expression(expr: FormalExpression) -> FormalExpression:
-    if expr.formalism == "regex":
-        ast = _simplify_regex(expr.ast)
-    elif expr.formalism == "fol":
-        ast = FolFormula(expr.ast.prefix, _simplify_logic(expr.ast.matrix))
-    else:
-        ast = _simplify_logic(expr.ast)
-    return make_expression(expr.formalism, ast)
+    return make_expression(expr.formalism, _simplify(expr.ast))
 
 
-def _simplify_logic(node):
-    if isinstance(node, (Proposition, Atom)):
+def _simplify(node):
+    kids = [_simplify(c) for c in children(node)]
+    if not kids:
         return node
-    if isinstance(node, Not):
-        child = _simplify_logic(node.child)
-        if isinstance(child, Not):
-            return child.child
-        return Not(child)
-    if isinstance(node, (And, Or)):
-        children = [_simplify_logic(c) for c in node.children]
+    t = type(node)
+    if t is Not and type(kids[0]) is Not:
+        return kids[0].child  # ¬¬a is a
+    if t is Star and type(kids[0]) is Star:
+        return kids[0]  # (a*)* is a*
+    if t is And or t is Or:
+        # list membership, not a set: frozen dataclasses rehash whole subtrees
         unique = []
-        for c in children:
+        for c in kids:
             if c not in unique:
                 unique.append(c)
         if len(unique) == 1:
             return unique[0]
-        return flatten_and(unique) if isinstance(node, And) else flatten_or(unique)
-    if isinstance(node, Quantified):
-        return Quantified(node.kind, node.variables, _simplify_logic(node.body))
-    raise TypeError(f"not a logic node: {node!r}")
-
-
-def _simplify_regex(node):
-    if isinstance(node, Literal):
-        return node
-    if isinstance(node, Star):
-        child = _simplify_regex(node.child)
-        if isinstance(child, Star):
-            return child
-        return Star(child)
-    if isinstance(node, Concat):
-        return Concat(tuple(_simplify_regex(c) for c in node.children))
-    raise TypeError(f"not a regex node: {node!r}")
+        return flatten_and(unique) if t is And else flatten_or(unique)
+    return rebuild(node, kids)

@@ -26,6 +26,8 @@ from ..syntax.nodes import (
     Or,
     Quantified,
     Variable,
+    children,
+    walk,
 )
 from ..syntax.printer import print_fol
 from .verdict import EquivalenceVerdict, equivalent, not_equivalent, unknown
@@ -87,20 +89,19 @@ def free_variables(formula: FolFormula) -> list[str]:
 
 
 def _collect_free(node, bound: set[str], out: list[str]):
-    if isinstance(node, Atom):
-        for t in node.terms:
-            if isinstance(t, Variable) and t.name not in bound and t.name not in out:
-                out.append(t.name)
-    elif isinstance(node, Not):
-        _collect_free(node.child, bound, out)
-    elif isinstance(node, (And, Or)):
-        for c in node.children:
-            _collect_free(c, bound, out)
-    elif isinstance(node, Quantified):
+    t = type(node)
+    if t is Atom:
+        for term in node.terms:
+            if type(term) is Variable and term.name not in bound and term.name not in out:
+                out.append(term.name)
+    elif t is Quantified:
         added = [v for v in node.variables if v not in bound]
         bound.update(added)
         _collect_free(node.body, bound, out)
         bound.difference_update(added)
+    else:
+        for child in children(node):
+            _collect_free(child, bound, out)
 
 
 def universal_closure(formula: FolFormula) -> FolFormula:
@@ -115,22 +116,10 @@ def collect_symbols(formula: FolFormula):
     """(constants, predicate arities) used by the formula."""
     constants: set[str] = set()
     predicates: dict[str, int] = {}
-
-    def walk(node):
-        if isinstance(node, Atom):
+    for node in walk(formula.matrix):
+        if type(node) is Atom:
             predicates[node.predicate] = len(node.terms)
-            for t in node.terms:
-                if isinstance(t, Constant):
-                    constants.add(t.name)
-        elif isinstance(node, Not):
-            walk(node.child)
-        elif isinstance(node, (And, Or)):
-            for c in node.children:
-                walk(c)
-        elif isinstance(node, Quantified):
-            walk(node.body)
-
-    walk(formula.matrix)
+            constants.update(t.name for t in node.terms if type(t) is Constant)
     return constants, predicates
 
 

@@ -7,7 +7,7 @@ f XOR g. Either way the check is decisive: no Unknown verdicts.
 
 from __future__ import annotations
 
-from ..syntax.nodes import And, Not, Or, Proposition
+from ..syntax.nodes import And, Not, Or, Proposition, walk
 from .verdict import EquivalenceVerdict, equivalent, not_equivalent
 
 EXHAUSTIVE_LIMIT = 20
@@ -38,16 +38,7 @@ def eval_prop(formula, assignment: Assignment) -> bool:
 
 
 def variables(formula) -> set[str]:
-    if isinstance(formula, Proposition):
-        return {formula.name}
-    if isinstance(formula, Not):
-        return variables(formula.child)
-    if isinstance(formula, (And, Or)):
-        out: set[str] = set()
-        for c in formula.children:
-            out |= variables(c)
-        return out
-    raise TypeError(f"not a propositional node: {formula!r}")
+    return {node.name for node in walk(formula) if type(node) is Proposition}
 
 
 def equivalent_prop(f, g) -> EquivalenceVerdict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..syntax.nodes import Concat, Literal, RegexAst, Star
+from ..syntax.nodes import Concat, Literal, RegexAst, Star, walk
 from .verdict import EquivalenceVerdict, equivalent, not_equivalent
 
 
@@ -291,16 +291,7 @@ def compile_regex(regex: RegexAst, alphabet) -> CanonicalDfa:
 # equivalence and metrics
 
 def regex_symbols(node: RegexAst) -> set[str]:
-    if isinstance(node, Literal):
-        return {node.symbol}
-    if isinstance(node, Star):
-        return regex_symbols(node.child)
-    if isinstance(node, Concat):
-        out: set[str] = set()
-        for c in node.children:
-            out |= regex_symbols(c)
-        return out
-    raise TypeError(f"not a regex node: {node!r}")
+    return {n.symbol for n in walk(node) if type(n) is Literal}
 
 
 def equivalent_regex(r1: RegexAst, r2: RegexAst, alphabet=()) -> EquivalenceVerdict:

@@ -1,0 +1,96 @@
+"""The parsers' nesting bound.
+
+Parsing, printing, the NL codec and the verifiers all recurse once or more
+per nesting level, so a reply nested past Python's recursion limit used to
+raise RecursionError out of `extract_formal` and cost the whole run. The
+parsers now reject a formula nested deeper than MAX_NESTING as an ordinary
+parse error. The bound must admit everything the built-in grammars derive
+at depth 40, and every stage must still run on a formula at the bound.
+"""
+
+import random
+
+import pytest
+
+from formaltrip.pipeline import nl_codec
+from formaltrip.pipeline.providers import corrupt_expression
+from formaltrip.pipeline.templates import vocabulary_block
+from formaltrip.syntax import (
+    FormalExpression,
+    NonCompliant,
+    ParseError,
+    complexity,
+    extract_formal,
+    parse_expression,
+    simplify_expression,
+)
+from formaltrip.syntax.parse import MAX_NESTING
+from formaltrip.verify import ProverBudget, verify_pair
+
+DEEP = 3000
+TOO_DEEP = f"nesting deeper than {MAX_NESTING} levels"
+
+DEEP_REPLIES = {
+    "prop-parens": ("prop", "(" * DEEP + "p1" + ")" * DEEP),
+    "prop-negations": ("prop", "¬" * DEEP + "p1"),
+    "fol-parens": ("fol", "(" * DEEP + "pred1(p1)" + ")" * DEEP),
+    "fol-quantifiers": ("fol", "∀x." * DEEP + "pred1(x)"),
+    "regex-groups": ("regex", "(" * DEEP + "0" + ")" * DEEP),
+    "regex-stars": ("regex", "0" + "*" * DEEP),
+}
+
+
+@pytest.mark.parametrize("formalism,reply", DEEP_REPLIES.values(), ids=DEEP_REPLIES)
+def test_deeply_nested_reply_is_noncompliant(formalism, reply):
+    assert extract_formal(reply, formalism) == NonCompliant(TOO_DEEP)
+
+
+def _levels(unit: str, close: str, leaf: str, n: int) -> str:
+    """`n` copies of `unit`, numbered modulo 4, around `leaf`."""
+    return "".join(unit.format(i=i % 4) for i in range(n)) + leaf + close * n
+
+
+# The shapes that overflowed soonest without a bound, each MAX_NESTING levels
+# deep: a '¬(' or '∀x. (' pair is two levels, '(1' with its ')*' also two.
+# Propositions repeat so that the verifier stays on its truth table.
+HALF = MAX_NESTING // 2
+AT_BOUND = {
+    "prop-negated-conjunctions": ("prop", _levels("¬(p{i} ∧ ", ")", "p9", HALF)),
+    "prop-disjunctions": ("prop", _levels("(p{i} ∨ ", ")", "p9", MAX_NESTING)),
+    "fol-nested-quantifiers": ("fol", _levels("∀x{i}. (pred1(x{i}) ∨ ", ")", "pred2(c1)", HALF)),
+    "fol-prefix": ("fol", _levels("∀x{i}. ", "", "pred1(c1)", MAX_NESTING)),
+    "regex-starred-groups": ("regex", _levels("(1", ")*", "0", HALF)),
+    "regex-stars": ("regex", "0" + "*" * MAX_NESTING),
+}
+
+
+@pytest.mark.parametrize("formalism,reply", AT_BOUND.values(), ids=AT_BOUND)
+def test_every_stage_runs_at_the_bound(formalism, reply):
+    expr = extract_formal(reply, formalism)
+    assert isinstance(expr, FormalExpression)
+    complexity(expr)
+    vocabulary_block(expr)
+    twin = simplify_expression(expr)
+    corrupted = corrupt_expression(expr, random.Random(0))
+    assert nl_codec.parse_description(nl_codec.describe(expr), formalism) == expr
+    budget = ProverBudget(max_clauses=200, max_seconds=5, max_model_domain=1)
+    for other in (twin, corrupted):
+        verify_pair(formalism, expr.ast, other.ast, budget=budget)
+    # one level more is refused
+    deeper = "¬" + reply if formalism != "regex" else "(" + reply + ")*"
+    with pytest.raises(ParseError, match=TOO_DEEP):
+        parse_expression(formalism, deeper)
+
+
+# The deepest derivations of the built-in grammars in a depth-40 walk: every
+# rewrite opens at most two levels, as in S -> ( ¬ S ) or S -> ( S ) K.
+DEPTH_40 = {
+    "prop": ("prop", _levels("( ¬ ", " )", "¬ p1", 39)),
+    "fol": ("fol", _levels("( ∀ x{i} . ", " )", "( ¬ pred1(x1) )", 38)),
+    "regex": ("regex", _levels("(", ")*", "0*", 39)),
+}
+
+
+@pytest.mark.parametrize("formalism,text", DEPTH_40.values(), ids=DEPTH_40)
+def test_bound_admits_depth_40_derivations(formalism, text):
+    assert isinstance(parse_expression(formalism, text), FormalExpression)

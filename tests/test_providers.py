@@ -129,6 +129,21 @@ def test_cache_prevents_second_request(tmp_path):
     assert provider2.complete("prompt").cached
 
 
+def test_cache_drops_a_torn_last_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(path)
+    cache.put("a", "first reply")
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write('{"key": "b", "reply": "cut o')  # the run died mid-write
+    cache = ResponseCache(path)
+    assert cache.get("a") == "first reply"
+    assert cache.get("b") is None
+    cache.put("b", "second reply")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["key"] for line in lines] == ["a", "b"]
+    assert ResponseCache(path).get("b") == "second reply"
+
+
 # --- corruption -------------------------------------------------------------------
 
 def test_forced_flip_on_conjunction():

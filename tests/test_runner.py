@@ -13,6 +13,7 @@ from formaltrip.grammar import (
 from formaltrip.pipeline import (
     Provider,
     ProviderConfig,
+    ProviderError,
     load_template,
     load_template_set,
     parse_judge_answer,
@@ -110,6 +111,29 @@ def test_transport_error_recorded_not_raised():
     replay = Provider(ProviderConfig(kind="scripted_replay", fixtures_path=""))
     out = round_trip(records[0], replay, templates)
     assert out.errored
+    assert out.verdict_status is None
+
+
+@pytest.mark.parametrize("body", [{}, {"choices": []}, {"choices": [{"message": {}}]}])
+def test_malformed_http_body_is_an_error_on_its_record(body):
+    calls = []
+
+    def transport(endpoint, payload, headers, timeout):
+        calls.append(payload)
+        return body
+
+    config = ProviderConfig(
+        kind="http_chat", endpoint="http://example.invalid/v1/chat", model="m",
+        rate_limit_rpm=100000, backoff_base=0.001, max_attempts=3,
+    )
+    provider = Provider(config, transport=transport)
+    with pytest.raises(ProviderError, match=r"no choices\[0\]\.message\.content"):
+        provider.complete("prompt")
+    assert len(calls) == 1  # not retried
+
+    out = round_trip(dataset()[0], provider, load_template_set("prop", 0))
+    assert out.error.startswith("ProviderError: response has no choices[0].message.content")
+    assert len(calls) == 2
     assert out.verdict_status is None
 
 

@@ -1,3 +1,5 @@
+import json
+
 from formaltrip.grammar import PROP, GenerationConfig, VocabularyConfig, generate_dataset
 from formaltrip.pipeline import Provider, ProviderConfig, load_template_set, run_round_trips
 from formaltrip.pipeline.runner import JudgeRecord
@@ -84,6 +86,29 @@ def test_resume_skips_existing_ids(tmp_path):
         assert writer.existing_ids == {results[0].record_id, results[1].record_id}
         for r in results[2:]:
             writer.write(storage.round_trip_to_json(r))
+    _, loaded = storage.read_results(path)
+    assert [r.record_id for r in loaded] == [r.record_id for r in results]
+
+
+def test_resume_drops_a_torn_last_line(tmp_path):
+    header = storage.result_header("m", {"k": 1}, None, True)
+    path = tmp_path / "results.jsonl"
+    records, _ = make_dataset()
+    provider = Provider(ProviderConfig(kind="perfect_oracle"))
+    results = run_round_trips(records[:3], provider, load_template_set("prop", 0))
+    with storage.ResultWriter(path, header) as writer:
+        writer.write(storage.round_trip_to_json(results[0]))
+    torn = storage.dumps(storage.round_trip_to_json(results[1]))
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(torn[: len(torn) // 2])  # the run died mid-write
+    with storage.ResultWriter(path, header, resume=True) as writer:
+        assert writer.existing_ids == {results[0].record_id}
+        for r in results[1:]:
+            writer.write(storage.round_trip_to_json(r))
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("\n")
+    for line in text.splitlines():
+        json.loads(line)
     _, loaded = storage.read_results(path)
     assert [r.record_id for r in loaded] == [r.record_id for r in results]
 

@@ -330,9 +330,13 @@ def _balanced_positive(record, budget):
     twin = simplify_expression(expr)
     if twin.canonical_text == expr.canonical_text:
         return None
-    verdict = verify_pair(
-        record.formalism, expr.ast, twin.ast, budget=budget, alphabet=alphabet or ()
-    )
+    try:
+        verdict = verify_pair(
+            record.formalism, expr.ast, twin.ast, budget=budget, alphabet=alphabet or ()
+        )
+    except Exception:  # a twin the verifier cannot check is no twin
+        logger.warning("verifier failed on the twin of %s", record.record_id, exc_info=True)
+        return None
     if not verdict.equivalent:
         return None
     return (

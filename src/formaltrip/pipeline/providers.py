@@ -287,7 +287,7 @@ class Provider:
 
 def load_fixtures(path: str | Path) -> dict[str, str]:
     fixtures: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in Path(path).read_text(encoding="utf-8").split("\n"):
         if line.strip():
             row = json.loads(line)
             fixtures[row["prompt_sha256"]] = row["reply"]
@@ -317,10 +317,13 @@ def _http_transport(endpoint: str, payload: dict, headers: dict, timeout: float)
         raise TransportError(str(e)) from e
     if resp.status_code == 429:
         raise RateLimited("429 from endpoint")
+    if resp.status_code == 408:
+        raise TransportError("request timeout 408 from endpoint")
     if resp.status_code >= 500:
         raise TransportError(f"server error {resp.status_code}")
     if resp.status_code != 200:
-        raise TransportError(f"unexpected status {resp.status_code}: {resp.text[:200]}")
+        # the request itself is refused: asking again would not mend it
+        raise ProviderError(f"unexpected status {resp.status_code}: {resp.text[:200]}")
     return resp.json()
 
 

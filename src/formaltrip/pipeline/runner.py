@@ -8,6 +8,7 @@ the matching built-in verifier.
 
 from __future__ import annotations
 
+import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -25,6 +26,8 @@ from .templates import (
     judge_context,
     render_prompt,
 )
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -135,13 +138,18 @@ def round_trip(
     out.parsed = extracted.canonical_text
 
     t0 = time.monotonic()
-    verdict = verify_pair(
-        record.formalism,
-        record.expression.ast,
-        extracted.ast,
-        budget=budget,
-        alphabet=alphabet or (),
-    )
+    try:
+        verdict = verify_pair(
+            record.formalism,
+            record.expression.ast,
+            extracted.ast,
+            budget=budget,
+            alphabet=alphabet or (),
+        )
+    except Exception as e:  # a verifier fault costs its own record, not the run
+        logger.warning("verifier failed on record %s", record.id, exc_info=True)
+        out.error = f"{type(e).__name__}: {e}"
+        return out
     out.timings["verify_seconds"] = 0.0 if deterministic else round(time.monotonic() - t0, 6)
     out.verdict_status = verdict.status.value
     out.verdict_witness = witness_payload(verdict)

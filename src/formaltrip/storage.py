@@ -34,7 +34,8 @@ def write_jsonl(path: str | Path, rows) -> Path:
 
 def read_jsonl(path: str | Path) -> list[dict]:
     out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    # split on "\n" alone: dumps leaves U+2028 and friends unescaped
+    for line in Path(path).read_text(encoding="utf-8").split("\n"):
         if line.strip():
             out.append(json.loads(line))
     return out

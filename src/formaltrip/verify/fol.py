@@ -251,70 +251,81 @@ def _is_tautology(clause: Clause) -> bool:
 # ---------------------------------------------------------------------------
 # unification and resolution
 
-def _unify(a, b, subst: dict) -> dict | None:
+def _unify(a, b, subst: dict) -> bool:
+    """Extend subst, which maps variable names to terms, in place to a most
+    general unifier of a and b. On False no unifier exists and subst is
+    left half-built."""
     a = _walk(a, subst)
     b = _walk(b, subst)
-    if a == b:
-        return subst
-    if isinstance(a, Var):
-        return None if _occurs(a, b, subst) else {**subst, a: b}
-    if isinstance(b, Var):
-        return None if _occurs(b, a, subst) else {**subst, b: a}
-    if isinstance(a, Func) and isinstance(b, Func):
-        if a.name != b.name or len(a.args) != len(b.args):
-            return None
-        for x, y in zip(a.args, b.args):
-            subst = _unify(x, y, subst)
-            if subst is None:
-                return None
-        return subst
-    return None
+    ta = type(a)
+    tb = type(b)
+    if ta is Var:
+        if tb is Var and a.name == b.name:
+            return True
+        if _occurs(a.name, b, subst):
+            return False
+        subst[a.name] = b
+        return True
+    if tb is Var:
+        if _occurs(b.name, a, subst):
+            return False
+        subst[b.name] = a
+        return True
+    if ta is Const:
+        return tb is Const and a.name == b.name
+    return tb is Func and a.name == b.name and _unify_tuples(a.args, b.args, subst)
 
 
 def _walk(term, subst):
-    while isinstance(term, Var) and term in subst:
-        term = subst[term]
+    while type(term) is Var:
+        bound = subst.get(term.name)
+        if bound is None:
+            return term
+        term = bound
     return term
 
 
-def _occurs(var: Var, term, subst) -> bool:
+def _occurs(name: str, term, subst) -> bool:
     term = _walk(term, subst)
-    if term == var:
-        return True
-    if isinstance(term, Func):
-        return any(_occurs(var, t, subst) for t in term.args)
+    if type(term) is Var:
+        return term.name == name
+    if type(term) is Func:
+        return any(_occurs(name, t, subst) for t in term.args)
     return False
 
 
-def _unify_tuples(xs: tuple, ys: tuple, subst: dict) -> dict | None:
+def _unify_tuples(xs: tuple, ys: tuple, subst: dict) -> bool:
     if len(xs) != len(ys):
-        return None
+        return False
     for x, y in zip(xs, ys):
-        subst = _unify(x, y, subst)
-        if subst is None:
-            return None
-    return subst
+        if not _unify(x, y, subst):
+            return False
+    return True
 
 
 def _apply(term, subst):
     term = _walk(term, subst)
-    if isinstance(term, Func):
-        return Func(term.name, tuple(_apply(t, subst) for t in term.args))
+    if type(term) is Func:
+        return Func(term.name, tuple([_apply(t, subst) for t in term.args]))
     return term
 
 
 def _apply_clause(clause, subst) -> Clause:
-    return frozenset(
-        (sign, pred, tuple(_apply(t, subst) for t in args))
+    # a clause iterates, and so resolves, in the order its literals were
+    # inserted: both branches insert in the order of `clause`
+    if not subst:
+        return frozenset(iter(clause))
+    return frozenset([
+        (sign, pred, tuple([t if type(t) is Const else _apply(t, subst) for t in args]))
         for sign, pred, args in clause
-    )
+    ])
 
 
 def _rename_clause(clause: Clause, suffix: str) -> Clause:
     def ren(term):
-        if isinstance(term, Var):
+        if type(term) is Var:
             return Var(term.name + suffix)
-        if isinstance(term, Func):
+        if type(term) is Func:
             return Func(term.name, tuple(ren(t) for t in term.args))
         return term
 
@@ -323,20 +334,30 @@ def _rename_clause(clause: Clause, suffix: str) -> Clause:
     )
 
 
-def _resolvents(c1: Clause, c2: Clause):
-    """All binary resolvents of c1 against a renamed-apart copy of c2."""
-    c2 = _rename_clause(c2, "r")
+def _signature(clause: Clause) -> frozenset:
+    """The (sign, predicate) pairs of a clause's literals."""
+    return frozenset([lit[:2] for lit in clause])
+
+
+def _by_signature(clause: Clause) -> dict:
+    """The literals of a clause grouped by (sign, predicate), each group in
+    the clause's iteration order."""
+    groups: dict = {}
+    for lit in clause:
+        groups.setdefault(lit[:2], []).append(lit)
+    return groups
+
+
+def _resolvents(c1: Clause, c2: Clause, c2_groups: dict):
+    """All binary resolvents of c1 against c2, a copy renamed apart from it
+    whose literals `_by_signature` grouped, in the order of c1's literals
+    and then of c2's."""
     for lit1 in c1:
         sign1, pred1, args1 = lit1
-        for lit2 in c2:
-            sign2, pred2, args2 = lit2
-            if pred1 != pred2 or sign1 == sign2:
-                continue
-            subst = _unify_tuples(args1, args2, {})
-            if subst is None:
-                continue
-            rest = (c1 - {lit1}) | (c2 - {lit2})
-            yield _apply_clause(rest, subst)
+        for lit2 in c2_groups.get((not sign1, pred1), ()):
+            subst: dict = {}
+            if _unify_tuples(args1, lit2[2], subst):
+                yield _apply_clause((c1 - {lit1}) | (c2 - {lit2}), subst)
 
 
 def _factors(clause: Clause):
@@ -347,14 +368,28 @@ def _factors(clause: Clause):
             s2, p2, a2 = lits[j]
             if s1 != s2 or p1 != p2:
                 continue
-            subst = _unify_tuples(a1, a2, {})
-            if subst is not None:
+            subst: dict = {}
+            if _unify_tuples(a1, a2, subst):
                 yield _apply_clause(clause, subst)
 
 
-def _subsumes(c: Clause, d: Clause) -> bool:
-    """True when some substitution maps every literal of c into d."""
+def _is_ground(clause: Clause) -> bool:
+    return not any(_has_var(t) for _, _, args in clause for t in args)
+
+
+def _has_var(term) -> bool:
+    t = type(term)
+    return t is Var or (t is Func and any(_has_var(a) for a in term.args))
+
+
+def _subsumes(c: Clause, d: Clause, c_ground: bool) -> bool:
+    """True when some substitution maps every literal of c into d. A
+    ground c has only the empty substitution, so then that is c <= d."""
     if len(c) > len(d):
+        return False
+    if c <= d:
+        return True
+    if c_ground:
         return False
 
     c_lits = list(c)
@@ -388,13 +423,15 @@ def _unify_match(xs: tuple, ys: tuple, subst: dict) -> dict | None:
 
 
 def _match_term(x, y, subst) -> dict | None:
-    if isinstance(x, Var):
-        if x in subst:
-            return subst if subst[x] == y else None
-        return {**subst, x: y}
-    if isinstance(x, Const):
+    t = type(x)
+    if t is Var:
+        bound = subst.get(x.name)
+        if bound is None:
+            return {**subst, x.name: y}
+        return subst if bound == y else None
+    if t is Const:
         return subst if x == y else None
-    if isinstance(x, Func) and isinstance(y, Func):
+    if t is Func and type(y) is Func:
         if x.name != y.name:
             return None
         return _unify_match(x.args, y.args, subst)
@@ -403,9 +440,18 @@ def _match_term(x, y, subst) -> dict | None:
 
 def resolution_refute(clauses, budget: ProverBudget) -> str:
     """Given-clause saturation; REFUTED certifies unsatisfiability and
-    SATURATED certifies satisfiability."""
+    SATURATED certifies satisfiability.
+
+    Each kept clause carries its (sign, predicate) signature, whether it is
+    ground, and a copy renamed apart with that copy's literals grouped by
+    signature. A clause can subsume only one whose signature holds its
+    own, a clause resolves only with one whose signature meets its
+    complement, and only a clause whose signature meets its own complement
+    can be a tautology: pairs failing these tests are skipped without
+    unifying anything.
+    """
     deadline = time.monotonic() + budget.max_seconds
-    kept: list[Clause] = []
+    kept: list[tuple[Clause, frozenset, bool, Clause, dict]] = []
     queue = deque(frozenset(c) for c in clauses)
     generated = len(queue)
     while queue:
@@ -414,15 +460,21 @@ def resolution_refute(clauses, budget: ProverBudget) -> str:
         given = queue.popleft()
         if not given:
             return REFUTED
-        if _is_tautology(given):
+        sig = _signature(given)
+        co_sig = frozenset([(not sign, pred) for sign, pred in sig])
+        if not sig.isdisjoint(co_sig) and _is_tautology(given):
             continue
-        if any(_subsumes(k, given) for k in kept):
+        if any(k_sig <= sig and _subsumes(k, given, k_ground)
+               for k, k_sig, k_ground, _, _ in kept):
             continue
-        kept = [k for k in kept if not _subsumes(given, k)]
-        kept.append(given)
-        new: list[Clause] = list(_factors(given))
-        for other in kept:
-            new.extend(_resolvents(given, other))
+        ground = _is_ground(given)
+        kept = [e for e in kept if not (sig <= e[1] and _subsumes(given, e[0], ground))]
+        renamed = _rename_clause(given, "r")
+        kept.append((given, sig, ground, renamed, _by_signature(renamed)))
+        new: list[Clause] = list(_factors(given)) if len(sig) < len(given) else []
+        for _, k_sig, _, k_renamed, k_groups in kept:
+            if not co_sig.isdisjoint(k_sig):
+                new.extend(_resolvents(given, k_renamed, k_groups))
         for clause in new:
             generated += 1
             if not clause:

@@ -126,6 +126,36 @@ def test_judge_subcommand(dataset_dir, tmp_path):
     assert summary["judge"]["f1"] == 1.0
 
 
+def test_judge_balance_skips_a_twin_the_verifier_cannot_check(dataset_dir, tmp_path, monkeypatch):
+    import formaltrip.cli as cli
+
+    run_dir = tmp_path / "run"
+    batch = dataset_dir / "prop_operator_total_batch0.jsonl"
+    assert run_cli("run", "--provider", "perfect-oracle", "--dataset", batch,
+                   "--output-dir", run_dir) == 0
+    result = next(run_dir.glob("results_*.jsonl"))
+
+    def judged(out_dir):
+        assert run_cli("judge", "--provider", "perfect-oracle", "--results", result,
+                       "--balance", "--output-dir", out_dir) == 0
+        return next(out_dir.glob("judge_*.jsonl")).read_text().splitlines()[1:]
+
+    clean = judged(tmp_path / "clean")
+    real_verify = cli.verify_pair
+    calls = []
+
+    def faulty_verify(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise RuntimeError("verifier fault")
+        return real_verify(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_pair", faulty_verify)
+    faulty = judged(tmp_path / "faulty")
+    first_positive = next(row for row in clean if '#pos"' in row)
+    assert faulty == [row for row in clean if row != first_positive]
+
+
 @pytest.mark.parametrize(
     "formalism,left,right,expected",
     [

@@ -15,7 +15,7 @@ from conftest import prop_formulas, random_prop
 from formaltrip.syntax import parse_prop
 from formaltrip.syntax.printer import print_logic
 from formaltrip.verify import MissingVariable, equivalent_prop, eval_prop
-from formaltrip.verify.prop import variables
+from formaltrip.verify.prop import EXHAUSTIVE_LIMIT, variables
 from formaltrip.verify.verdict import Status
 
 
@@ -179,6 +179,21 @@ def test_search_path_beyond_exhaustive_limit():
     v = equivalent_prop(big_f, other)
     assert v.status is Status.NOT_EQUIVALENT
     assert eval_prop(big_f, v.witness) != eval_prop(other, v.witness)
+
+
+def test_table_at_exactly_the_exhaustive_limit():
+    # 20 variables is the largest table; the all-true row is its last
+    names = [f"p{i}" for i in range(1, EXHAUSTIVE_LIMIT + 1)]
+    conj = parse_prop(" ∧ ".join(names))
+    assert len(variables(conj)) == EXHAUSTIVE_LIMIT
+    reversed_conj = parse_prop(" ∧ ".join(reversed(names)))
+    v = equivalent_prop(conj, reversed_conj)
+    assert v.status is Status.EQUIVALENT and v.witness is None
+    contradiction = parse_prop(" ∧ ".join(names) + " ∧ ¬p1")
+    v = equivalent_prop(conj, contradiction)
+    assert v.status is Status.NOT_EQUIVALENT
+    assert list(v.witness.items()) == [(name, True) for name in sorted(names)]
+    assert eval_prop(conj, v.witness) and not eval_prop(contradiction, v.witness)
 
 
 @given(prop_formulas)

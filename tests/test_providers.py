@@ -1,5 +1,8 @@
+import contextlib
+import http.server
 import json
 import random
+import threading
 
 import pytest
 
@@ -7,6 +10,7 @@ from conftest import random_fol, random_prop, random_regex
 from formaltrip.pipeline import (
     Provider,
     ProviderConfig,
+    ProviderError,
     RateLimited,
     ReplayMiss,
     ResponseCache,
@@ -66,6 +70,18 @@ def test_replay_returns_recorded_reply(tmp_path):
     assert provider.complete("hello").text == "recorded!"
     with pytest.raises(ReplayMiss):
         provider.complete("unknown prompt")
+
+
+def test_replay_reply_may_hold_line_separators(tmp_path):
+    reply = "a\u2028b\u2029c\u0085d"
+    fixture = tmp_path / "f.jsonl"
+    fixture.write_text(
+        json.dumps({"prompt_sha256": prompt_hash("hello"), "reply": reply}, ensure_ascii=False)
+        + "\n",
+        encoding="utf-8",
+    )
+    provider = Provider(ProviderConfig(kind="scripted_replay", fixtures_path=str(fixture)))
+    assert provider.complete("hello").text == reply
 
 
 # --- retry / transport -----------------------------------------------------------
@@ -189,10 +205,20 @@ def test_rate_limiter_spaces_requests():
     assert elapsed >= 0.055  # three 20ms gaps, allowing scheduler slack
 
 
-def test_http_chat_against_local_server():
-    import http.server
-    import threading
+@contextlib.contextmanager
+def local_server(handler):
+    """Serve `handler` on a free localhost port; yields the chat endpoint."""
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+    finally:
+        server.shutdown()
+        server.server_close()
 
+
+def test_http_chat_against_local_server():
     from formaltrip.pipeline.providers import classify_prompt
     from formaltrip.pipeline import describe, parse_description
 
@@ -225,10 +251,7 @@ def test_http_chat_against_local_server():
         def log_message(self, *args):
             pass
 
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with local_server(Handler) as endpoint:
         from formaltrip.grammar import PROP, GenerationConfig, VocabularyConfig, generate_dataset
         from formaltrip.pipeline import load_template_set
         from formaltrip.pipeline.runner import round_trip
@@ -239,7 +262,7 @@ def test_http_chat_against_local_server():
         )
         config = ProviderConfig(
             kind="http_chat",
-            endpoint=f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions",
+            endpoint=endpoint,
             model="local-test",
             rate_limit_rpm=100000,
         )
@@ -249,5 +272,51 @@ def test_http_chat_against_local_server():
         assert out.tokens["interpret_prompt"] == 7
         assert out.timings["interpret_seconds"] > 0  # live provider records real timings
         assert Handler.calls == 2
-    finally:
-        server.shutdown()
+
+
+@pytest.mark.parametrize("status,requests_made,error", [
+    (400, 1, ProviderError),
+    (401, 1, ProviderError),
+    (408, 3, TransportError),
+    (503, 3, TransportError),
+])
+def test_http_status_retried_only_when_transient(status, requests_made, error):
+    from formaltrip.grammar import PROP, GenerationConfig, VocabularyConfig, generate_dataset
+    from formaltrip.pipeline import load_template_set
+    from formaltrip.pipeline.runner import round_trip
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        calls = 0
+
+        def do_POST(self):
+            type(self).calls += 1
+            self.rfile.read(int(self.headers["Content-Length"]))
+            body = b'{"error": "refused"}'
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    with local_server(Handler) as endpoint:
+        config = ProviderConfig(
+            kind="http_chat", endpoint=endpoint, model="local-test",
+            rate_limit_rpm=100000, backoff_base=0.0, max_attempts=3,
+        )
+        with pytest.raises(ProviderError) as raised:
+            Provider(config).complete("prompt")
+        assert type(raised.value) is error
+        assert Handler.calls == requests_made
+
+        records, _ = generate_dataset(
+            PROP, VocabularyConfig(),
+            GenerationConfig(depth=5, branching=10, sample_count=2, batches=1, seed=1),
+        )
+        out = round_trip(records[0], Provider(config), load_template_set("prop", 0))
+        assert out.error.startswith(f"{error.__name__}: ")
+        assert str(status) in out.error
+        assert Handler.calls == 2 * requests_made
+        assert out.verdict_status is None

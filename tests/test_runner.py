@@ -145,6 +145,37 @@ def test_concurrent_results_keep_dataset_order():
     assert [r.record_id for r in sequential] == [r.record_id for r in concurrent]
 
 
+def test_verifier_exception_is_an_error_on_its_record(monkeypatch):
+    from formaltrip import storage
+    from formaltrip.pipeline import runner
+
+    records = dataset()
+    templates = load_template_set("prop", 0)
+    corrupting = Provider(ProviderConfig(kind="corrupting_oracle"))
+    clean = run_round_trips(records, corrupting, templates, width=2)
+
+    victim = records[2].expression.ast
+    real_verify = runner.verify_pair
+
+    def faulty_verify(formalism, left, right, **kwargs):
+        if left is victim:
+            raise RuntimeError("verifier fault")
+        return real_verify(formalism, left, right, **kwargs)
+
+    monkeypatch.setattr(runner, "verify_pair", faulty_verify)
+    faulty = run_round_trips(records, corrupting, templates, width=2)
+
+    assert len(faulty) == len(clean)
+    for i, (a, b) in enumerate(zip(clean, faulty)):
+        if i == 2:
+            assert b.error == "RuntimeError: verifier fault"
+            assert b.parsed == a.parsed and b.verdict_status is None
+        else:
+            assert storage.dumps(storage.round_trip_to_json(b)) == storage.dumps(
+                storage.round_trip_to_json(a)
+            )
+
+
 def test_skip_ids_resume_semantics():
     records = dataset()
     templates = load_template_set("prop", 0)

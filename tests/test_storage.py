@@ -60,6 +60,29 @@ def test_result_file_round_trip(tmp_path):
     assert loaded[0].verdict_status == "equivalent"
 
 
+def test_line_separators_inside_a_reply_survive_report(tmp_path):
+    from formaltrip.cli import main
+
+    records, _ = make_dataset()
+    provider = Provider(ProviderConfig(kind="perfect_oracle"))
+    results = run_round_trips(records[:3], provider, load_template_set("prop", 0))
+    reply = "first\u2028second\u2029third\u0085fourth"
+    results[1].raw_reply = reply
+    header = storage.result_header("perfect-oracle", {"x": 1}, None, True)
+    path = tmp_path / "results.jsonl"
+    with storage.ResultWriter(path, header) as writer:
+        for r in results:
+            writer.write(storage.round_trip_to_json(r))
+    assert "\u2028" in path.read_text(encoding="utf-8")  # written raw, not escaped
+
+    _, loaded = storage.read_results(path)
+    assert [r.raw_reply for r in loaded] == [r.raw_reply for r in results]
+    assert loaded[1].raw_reply == reply
+    assert main(["report", "--results", str(path), "--output-dir", str(tmp_path / "report")]) == 0
+    summary = json.loads((tmp_path / "report" / "summary.json").read_text())
+    assert summary["compliance"] == 1.0
+
+
 def test_judge_file_round_trip(tmp_path):
     header = storage.result_header("m", {}, None, True)
     rec = JudgeRecord(

@@ -311,8 +311,9 @@ def _apply(term, subst):
 
 
 def _apply_clause(clause, subst) -> Clause:
-    # a clause iterates, and so resolves, in the order its literals were
-    # inserted: both branches insert in the order of `clause`
+    # The search follows each clause's iteration order, which depends on the
+    # order its literals were inserted. Both branches insert them in the
+    # order of `clause`, so skipping the rebuild keeps the search the same.
     if not subst:
         return frozenset(iter(clause))
     return frozenset([

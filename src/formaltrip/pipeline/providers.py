@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..syntax import And, Not, Or, Star, extract_formal, make_expression
+from ..syntax import And, Not, Or, ParseError, Star, make_expression, parse_expression
 from ..syntax.nodes import FolFormula, FormalExpression, children, rebuild
 from ..verify import ProverBudget, verify_pair
 from . import nl_codec
@@ -33,7 +33,10 @@ PROVIDER_KINDS = (HTTP_CHAT, SCRIPTED_REPLAY, PERFECT_ORACLE, CORRUPTING_ORACLE)
 
 
 class ProviderError(RuntimeError):
-    pass
+    def __init__(self, message: str = "", retry_after: float | None = None):
+        super().__init__(message)
+        # seconds a 429 or 503 reply asked for in its Retry-After header
+        self.retry_after = retry_after
 
 
 class Timeout(ProviderError):
@@ -244,7 +247,9 @@ class Provider:
             except (Timeout, RateLimited, TransportError) as e:
                 last_error = e
                 if attempt < self.config.max_attempts:
-                    time.sleep(self.config.backoff_base * (2 ** (attempt - 1)))
+                    step = self.config.backoff_base * (2 ** (attempt - 1))
+                    # jitter keeps clients that failed together from retrying together
+                    time.sleep(max(e.retry_after or 0.0, step * random.uniform(0.5, 1.0)))
         raise TransportError(
             f"{self.config.max_attempts} attempts failed: {last_error}"
         )
@@ -286,12 +291,9 @@ class Provider:
 
 
 def load_fixtures(path: str | Path) -> dict[str, str]:
-    fixtures: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").split("\n"):
-        if line.strip():
-            row = json.loads(line)
-            fixtures[row["prompt_sha256"]] = row["reply"]
-    return fixtures
+    from ..storage import read_jsonl  # storage imports this package
+
+    return {row["prompt_sha256"]: row["reply"] for row in read_jsonl(path)}
 
 
 def _reply_text(body) -> str:
@@ -315,12 +317,17 @@ def _http_transport(endpoint: str, payload: dict, headers: dict, timeout: float)
         raise Timeout(str(e)) from e
     except requests.RequestException as e:
         raise TransportError(str(e)) from e
+    # a 429 or 503 may say how long to wait; only the delta-seconds form is read
+    wait = resp.headers.get("Retry-After", "").strip()
+    retry_after = float(wait) if wait.isdecimal() else None
     if resp.status_code == 429:
-        raise RateLimited("429 from endpoint")
+        raise RateLimited("429 from endpoint", retry_after)
     if resp.status_code == 408:
         raise TransportError("request timeout 408 from endpoint")
     if resp.status_code >= 500:
-        raise TransportError(f"server error {resp.status_code}")
+        raise TransportError(
+            f"server error {resp.status_code}", retry_after if resp.status_code == 503 else None
+        )
     if resp.status_code != 200:
         # the request itself is refused: asking again would not mend it
         raise ProviderError(f"unexpected status {resp.status_code}: {resp.text[:200]}")
@@ -347,17 +354,18 @@ def classify_prompt(prompt: str) -> PromptTask:
     if "[Formula 1]" in prompt:
         first = _between(prompt, "[Formula 1]", "[Formula 2]")
         second = prompt.rsplit("[Formula 2]", 1)[1].strip()
-        left = extract_formal(first, formalism)
-        right = extract_formal(second, formalism)
-        if isinstance(left, FormalExpression) and isinstance(right, FormalExpression):
-            return PromptTask("judge", formalism, pair=(left, right))
-        raise ProviderError("judge prompt carries unparseable formulas")
+        try:
+            pair = (parse_expression(formalism, first), parse_expression(formalism, second))
+        except ParseError:
+            raise ProviderError("judge prompt carries unparseable formulas") from None
+        return PromptTask("judge", formalism, pair=pair)
     if "[FORMULA]" in prompt:
         tail = prompt.rsplit("[FORMULA]", 1)[1].strip()
-        expr = extract_formal(tail, formalism)
-        if isinstance(expr, FormalExpression):
-            return PromptTask("interpret", formalism, expression=expr)
-        return PromptTask("interpret", formalism, expression=None)
+        try:
+            expr = parse_expression(formalism, tail)
+        except ParseError:
+            expr = None
+        return PromptTask("interpret", formalism, expression=expr)
     raise ProviderError("prompt carries no recognized task marker")
 
 

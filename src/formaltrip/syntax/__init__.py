@@ -29,7 +29,7 @@ from .nodes import (
     flatten_and,
     flatten_or,
 )
-from .parse import ArityError, ParseError, parse_fol, parse_prop, parse_regex
+from .parse import ArityError, ParseError, parse_expression, parse_fol, parse_prop, parse_regex
 from .printer import canonical_text, make_expression
 from .simplify import simplify_expression
 
@@ -43,14 +43,3 @@ __all__ = [
     "parse_expression", "parse_fol", "parse_prop", "parse_regex",
     "simplify_expression",
 ]
-
-
-def parse_expression(formalism: str, text: str, alphabet=None) -> FormalExpression:
-    """Parse canonical or user text in the given formalism."""
-    if formalism == PROP:
-        return make_expression(PROP, parse_prop(text))
-    if formalism == FOL:
-        return make_expression(FOL, parse_fol(text))
-    if formalism == REGEX:
-        return make_expression(REGEX, parse_regex(text, alphabet))
-    raise ValueError(f"unknown formalism {formalism!r}")

@@ -1,9 +1,23 @@
 """Recover a formal expression from free-form LLM output.
 
 Replies commonly explain first and put the formula at the end, possibly in
-a code fence or after a colon. Candidate lines are scanned bottom-up; each
-line is tried whole, then its word windows longest-first, guarded so that
-plain prose never misparses as a bare one-token "formula".
+a code fence or after a colon. LaTeX commands, typographic stars, `$` and
+backticks (code-fence markers too) are normalized first. Then:
+
+1. the whole reply is parsed; if nothing below is accepted, its parse
+   error is the non-compliance reason;
+2. each line, bottom-up, offers at most three candidates, in order: the
+   whole line, the text after its last colon, and the span from its first
+   formula word to its last.
+
+A line candidate loses trailing `.`, `,` and `;`, and is accepted only if it
+contains a formula word and parses. For logic, a formula word is a
+whitespace-separated word holding a connective or quantifier of the
+parser's token table, a parenthesis, or a machine-made atom (`p7`,
+`pred3(...)`, `x1`); for regex, a word made only of alphabet symbols,
+parentheses and `*`, trailing punctuation aside. Prose around a formula is cut
+off; prose alone, or a malformed formula, is non-compliant rather than read
+as a fragment of itself. A reply costs at most 1 + 3 × lines parse attempts.
 """
 
 from __future__ import annotations
@@ -11,9 +25,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .nodes import FormalExpression
-from .parse import ParseError, parse_fol, parse_prop, parse_regex
-from .printer import make_expression
+from .nodes import REGEX, FormalExpression
+from .parse import _LOGIC_TOKEN, _WORD_CLASS, DIGIT_ALPHABET, ParseError, parse_expression
 
 
 @dataclass(frozen=True)
@@ -23,7 +36,6 @@ class NonCompliant:
     reason: str
 
 
-_FENCE = re.compile(r"^\s*```[\w-]*\s*$")
 _LATEX_MAP = {
     r"\land": "∧", r"\wedge": "∧", r"\lor": "∨", r"\vee": "∨",
     r"\neg": "¬", r"\lnot": "¬", r"\forall": "∀", r"\exists": "∃",
@@ -32,7 +44,11 @@ _LATEX_MAP = {
 # typographic lookalikes seen in model output
 _GLYPH_MAP = {"∗": "*", "⋆": "*", " ": " "}
 
-_WINDOW_SCAN_LIMIT = 60  # words; longer lines fall back to suffix/prefix scan
+# logic tokens that mark a formula word: connectives, quantifiers, parentheses
+_LOGIC_MARKS = frozenset(_WORD_CLASS) | {"(", ")"}
+_MACHINE_ATOM = re.compile(r"(?:p|pred|x)\d+")
+_REGEX_MARKS = frozenset("()*")
+_TRAILING = ".,;"  # sentence punctuation after a formula
 
 
 def _clean(text: str) -> str:
@@ -43,82 +59,42 @@ def _clean(text: str) -> str:
     return text.replace("$", " ").replace("`", " ")
 
 
-def _parse(formalism: str, text: str, alphabet):
-    if formalism == "prop":
-        return parse_prop(text)
-    if formalism == "fol":
-        return parse_fol(text)
-    if formalism == "regex":
-        return parse_regex(text, alphabet)
-    raise ValueError(f"unknown formalism {formalism!r}")
-
-
 def extract_formal(
     text: str, formalism: str, alphabet: set[str] | None = None
 ) -> FormalExpression | NonCompliant:
     """Parse an LLM reply into a FormalExpression, or report non-compliance."""
     cleaned = _clean(text)
-    first_error: ParseError | None = None
-
-    whole = cleaned.strip()
     try:
-        return make_expression(formalism, _parse(formalism, whole, alphabet))
+        return parse_expression(formalism, cleaned.strip(), alphabet)
     except ParseError as e:
-        first_error = e
+        reason = str(e)
 
-    lines = [ln for ln in cleaned.splitlines() if ln.strip() and not _FENCE.match(ln)]
-    for line in reversed(lines):
-        for candidate in _candidates(line):
-            try:
-                ast = _parse(formalism, candidate, alphabet)
-            except ParseError:
-                continue
-            if _formula_like(candidate, formalism):
-                return make_expression(formalism, ast)
-    reason = str(first_error) if first_error else "no parseable candidate"
+    is_formula_word = _formula_word_test(formalism, alphabet)
+    for line in reversed(cleaned.splitlines()):
+        words = line.split()
+        marked = [i for i, word in enumerate(words) if is_formula_word(word)]
+        if not marked:
+            continue
+        candidates = (line, line.rpartition(":")[2], " ".join(words[marked[0] : marked[-1] + 1]))
+        for candidate in dict.fromkeys(c.strip().rstrip(_TRAILING).strip() for c in candidates):
+            if any(map(is_formula_word, candidate.split())):
+                try:
+                    return parse_expression(formalism, candidate, alphabet)
+                except ParseError:
+                    pass
     return NonCompliant(reason)
 
 
-def _candidates(line: str):
-    seen = set()
-    for cand in _raw_candidates(line.strip()):
-        cand = cand.strip().rstrip(".").strip()
-        if cand and cand not in seen:
-            seen.add(cand)
-            yield cand
+def _formula_word_test(formalism: str, alphabet):
+    """The predicate that tells a formula word of `formalism` from prose."""
+    if formalism == REGEX:
+        marks = _REGEX_MARKS | (DIGIT_ALPHABET if alphabet is None else frozenset(alphabet))
 
+        def is_formula_word(word: str) -> bool:
+            word = word.rstrip(_TRAILING)
+            return word != "" and marks.issuperset(word)
 
-def _raw_candidates(line: str):
-    yield line
-    if ":" in line:
-        yield line.rsplit(":", 1)[1]
-    words = line.split()
-    n = len(words)
-    if n <= _WINDOW_SCAN_LIMIT:
-        # all word windows, longest first
-        for length in range(n - 1, 0, -1):
-            for i in range(0, n - length + 1):
-                yield " ".join(words[i : i + length])
-    else:
-        for i in range(1, n):
-            yield " ".join(words[i:])
-        for j in range(n - 1, 0, -1):
-            yield " ".join(words[:j])
-
-
-_STRUCTURE = re.compile(
-    r"[¬∧∨∀∃~&|()*!]|\b(?:not|and|or|all|exists|forall)\b", re.IGNORECASE
-)
-_MACHINE_ATOM = re.compile(r"^(?:p\d+|pred\d+.*|x\d+)$")
-
-
-def _formula_like(candidate: str, formalism: str) -> bool:
-    """Guard for candidates below whole-reply level: prose words are not formulas."""
-    candidate = candidate.strip()
-    if formalism == "regex":
-        # a lone alphabetic character inside prose is too weak a signal
-        return len(candidate) > 1 or candidate.isdigit()
-    if _STRUCTURE.search(candidate):
-        return True
-    # a bare atom is only accepted when it looks machine-generated (p7, pred3(...))
-    return bool(_MACHINE_ATOM.match(candidate))
+        return is_formula_word
+    return lambda word: any(
+        tok in _LOGIC_MARKS or _MACHINE_ATOM.fullmatch(tok) for tok in _LOGIC_TOKEN.findall(word)
+    )

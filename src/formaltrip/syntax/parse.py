@@ -13,12 +13,16 @@ import string
 
 from .nodes import (
     EXISTS,
+    FOL,
     FORALL,
+    PROP,
+    REGEX,
     And,
     Atom,
     Concat,
     Constant,
     FolFormula,
+    FormalExpression,
     Literal,
     LogicNode,
     Not,
@@ -32,6 +36,7 @@ from .nodes import (
     flatten_or,
     walk,
 )
+from .printer import make_expression
 
 
 class ParseError(Exception):
@@ -198,7 +203,7 @@ class _LogicParser:
                 raise _Failure("expected ')'", self.i, ")")
             self.i += 1
             return node
-        if tok[:1] in _IDENT_START:
+        if tok[:1] in _IDENT_START and cls is None:  # a keyword names no atom
             return self.predicate(tok) if self.fol else Proposition(tok)
         if tok == _END:
             raise _Failure("unexpected end of input", self.i - 1, "formula")
@@ -354,3 +359,17 @@ def _parse_regex_concat(s: str, i: int, alphabet, depth: int) -> tuple[RegexAst,
         else:
             flat.append(p)
     return Concat(tuple(flat)), i, deepest
+
+
+# ---------------------------------------------------------------------------
+# any of the three
+
+def parse_expression(formalism: str, text: str, alphabet=None) -> FormalExpression:
+    """Parse canonical or user text in the given formalism."""
+    if formalism == PROP:
+        return make_expression(PROP, parse_prop(text))
+    if formalism == FOL:
+        return make_expression(FOL, parse_fol(text))
+    if formalism == REGEX:
+        return make_expression(REGEX, parse_regex(text, alphabet))
+    raise ValueError(f"unknown formalism {formalism!r}")

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from formaltrip.syntax import (
     And,
     NonCompliant,
@@ -83,3 +85,55 @@ def test_never_misparses_canonical_strings():
         text = print_fol(random_fol(rng))
         direct = parse_expression("fol", text)
         assert extract_formal(text, "fol") == direct
+
+
+@pytest.mark.parametrize(
+    "formalism,reply",
+    [
+        ("prop", "¬ " * 3000 + "p1"),
+        ("prop", "p1 ∧ ∧ p2"),
+        ("prop", "This is hard and I am not sure."),
+        ("prop", "Comparing structure and operators."),
+        ("prop", "or"),
+    ],
+    ids=["3000-negations", "doubled-and", "prose-hard", "prose-comparing", "keyword"],
+)
+def test_malformed_formula_or_prose_is_noncompliant(formalism, reply):
+    assert isinstance(extract_formal(reply, formalism), NonCompliant)
+
+
+@pytest.mark.parametrize(
+    "formalism,reply,canonical",
+    [
+        ("prop", "The answer is p1 ∧ p2.", "(p1 ∧ p2)"),
+        ("regex", "The regex is 0(1)* and nothing else", "01*"),
+        ("prop", "Let me work through it.\n```\n(p1 ∨ ¬p2)\n```\nI hope this is clear and correct.",
+         "(p1 ∨ ¬p2)"),
+        ("fol", "∀ x1. pred1(x1) is the formula", "∀ x1. pred1(x1)"),
+        ("prop", "I think it is (p1 ∨ p2), i.e. the formula.", "(p1 ∨ p2)"),
+    ],
+)
+def test_prose_wrapped_formula_is_extracted(formalism, reply, canonical):
+    assert extract_formal(reply, formalism).canonical_text == canonical
+
+
+def test_parse_attempts_are_linear_in_lines(monkeypatch):
+    from formaltrip.syntax import parse
+
+    calls = []
+    parse_logic = parse._parse_logic
+
+    def counting(text, fol):
+        calls.append(text)
+        return parse_logic(text, fol)
+
+    monkeypatch.setattr(parse, "_parse_logic", counting)
+    words = "we compare the two sides and find that one or the other holds".split()
+    lines = [
+        "Step " + str(i) + ": " + " ".join(words[j % len(words)] for j in range(58))
+        for i in range(20)
+    ]
+    assert all(len(line.split()) == 60 for line in lines)
+    out = extract_formal("\n".join(lines), "prop")
+    assert len(calls) <= 1 + 3 * len(lines)
+    assert isinstance(out, NonCompliant)

@@ -29,6 +29,12 @@ ERRORS = [
     ("prop", "p1 ∧ (", ParseError, "unexpected end of input", 6, "formula"),
     ("prop", "∨ p1", ParseError, "unexpected '∨'", 0, "atom"),
     ("prop", "p1 ∧ ∧ p2", ParseError, "unexpected '∧'", 5, "atom"),
+    # a connective or quantifier keyword is not an atom name
+    ("prop", "or", ParseError, "unexpected 'or'", 0, "atom"),
+    ("prop", "and", ParseError, "unexpected 'and'", 0, "atom"),
+    ("prop", "all", ParseError, "unexpected 'all'", 0, "atom"),
+    ("prop", "exists", ParseError, "unexpected 'exists'", 0, "atom"),
+    ("fol", "pred1(p1) ∧ or", ParseError, "unexpected 'or'", 12, "atom"),
     ("prop", "", ParseError, "empty input", 0, "formula"),
     ("prop", "   ", ParseError, "empty input", 0, "formula"),
     ("fol", "∀. pred1(p1)", ParseError, "quantifier binds no variables", 0, "variable list"),
@@ -68,6 +74,8 @@ def test_parse_error_contract(formalism, text, kind, message, position, expected
         ("prop", "→ ⇒ ⇔", "operator '→' is not part of the grammar"),
         ("prop", "(∧ ∨)", "unexpected '∧'"),
         ("prop", "", "empty input"),
+        ("prop", "or", "unexpected 'or'"),
+        ("prop", "Comparing structure and operators.", "trailing input 'structure'"),
         ("fol", "I refuse.", "trailing input 'refuse'"),
         ("fol", "∀ .", "quantifier binds no variables"),
         ("regex", "(01", "unbalanced parenthesis"),

@@ -320,3 +320,69 @@ def test_http_status_retried_only_when_transient(status, requests_made, error):
         assert str(status) in out.error
         assert Handler.calls == 2 * requests_made
         assert out.verdict_status is None
+
+
+@pytest.mark.parametrize("status", [429, 503])
+def test_retry_after_sets_the_floor_of_the_backoff(monkeypatch, status):
+    from formaltrip.pipeline import providers
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        calls = 0
+
+        def do_POST(self):
+            type(self).calls += 1
+            self.rfile.read(int(self.headers["Content-Length"]))
+            if type(self).calls == 1:
+                body = b'{"error": "slow down"}'
+                self.send_response(status)
+                self.send_header("Retry-After", "2")
+            else:
+                body = json.dumps({"choices": [{"message": {"content": "p1"}}]}).encode()
+                self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    sleeps = []
+    monkeypatch.setattr(providers.time, "sleep", sleeps.append)
+    with local_server(Handler) as endpoint:
+        config = ProviderConfig(
+            kind="http_chat", endpoint=endpoint, model="local-test",
+            rate_limit_rpm=1e9, backoff_base=0.001, max_attempts=3,
+        )
+        completion = Provider(config).complete("prompt")
+    assert completion.text == "p1"
+    assert completion.attempts == 2
+    assert len(sleeps) == 1
+    assert sleeps[0] >= 2
+
+
+def test_backoff_steps_are_jittered_below_the_exponential_step(monkeypatch):
+    from formaltrip.pipeline import providers
+
+    sleeps = []
+    monkeypatch.setattr(providers.time, "sleep", sleeps.append)
+    transport, _ = flaky_transport([TransportError("503")] * 5)
+    config = http_config()
+    config.max_attempts, config.backoff_base, config.rate_limit_rpm = 5, 1.0, 1e9
+    with pytest.raises(TransportError):
+        Provider(config, transport=transport).complete("prompt")
+    assert len(sleeps) == 4
+    for attempt, slept in enumerate(sleeps):
+        assert 0.5 * 2**attempt <= slept <= 2**attempt
+    assert sleeps != [1.0, 2.0, 4.0, 8.0]  # not the bare exponential steps
+
+
+def test_oracle_reads_its_prompts_strictly():
+    from formaltrip.pipeline.providers import classify_prompt
+
+    prose = "The answer is p1 ∧ p2."
+    assert classify_prompt("[FORMULA]\n" + prose).expression is None
+    with pytest.raises(ProviderError):
+        classify_prompt("[Formula 1]\n(p1 ∧ p2)\n\n[Formula 2]\n" + prose)
+    task = classify_prompt("[Formula 1]\n(p1 ∧ p2)\n\n[Formula 2]\n¬p1")
+    assert [e.canonical_text for e in task.pair] == ["(p1 ∧ p2)", "¬p1"]

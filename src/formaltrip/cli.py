@@ -165,7 +165,17 @@ def _provider_config(args, config: dict) -> ProviderConfig:
 
 
 def _budget(config: dict) -> ProverBudget:
-    return ProverBudget(**config.get("budgets", {}))
+    section = config.get("budgets", {})
+    if not isinstance(section, dict):
+        raise ValueError("config 'budgets' must be an object")
+    defaults = vars(ProverBudget())
+    for key, value in section.items():
+        if key not in defaults:
+            raise ValueError(f"unknown budget {key!r} in config 'budgets'")
+        if type(value) not in (int, type(defaults[key])):
+            kind = "a number" if type(defaults[key]) is float else "an integer"
+            raise ValueError(f"budget {key!r} must be {kind}, not {value!r}")
+    return ProverBudget(**section)
 
 
 def _expand_paths(patterns) -> list[Path]:

@@ -65,7 +65,6 @@ class Func:
 
 
 Literal = tuple[bool, str, tuple]  # (positive?, predicate, argument terms)
-Clause = frozenset  # of Literal
 
 
 @dataclass
@@ -144,16 +143,16 @@ class _Gensym:
         return f"{self.prefix}{self.n - 1}"
 
 
-def clausify(formula: FolFormula) -> list[Clause]:
-    """Equisatisfiable clause set; Skolem symbols are fresh per call."""
+def clausify(formula: FolFormula) -> list[tuple[Literal, ...]]:
+    """Equisatisfiable clause set, each clause its distinct literals in
+    order; Skolem symbols are fresh per call."""
     tree = _nnf(as_quantified_tree(universal_closure(formula)), positive=True)
     fresh_var = _Gensym("v")
     fresh_sk = _Gensym("sk")
     matrix = _skolemize(tree, {}, (), fresh_var, fresh_sk)
-    clauses = _distribute(matrix)
     out = []
-    for clause in clauses:
-        c = frozenset(clause)
+    for clause in _distribute(matrix):
+        c = tuple(dict.fromkeys(clause))
         if not _is_tautology(c):
             out.append(c)
     return out
@@ -241,7 +240,7 @@ def _distribute(node) -> list[list[Literal]]:
     raise TypeError(f"unexpected node in matrix: {node!r}")
 
 
-def _is_tautology(clause: Clause) -> bool:
+def _is_tautology(clause: tuple) -> bool:
     for sign, pred, args in clause:
         if (not sign, pred, args) in clause:
             return True
@@ -250,47 +249,83 @@ def _is_tautology(clause: Clause) -> bool:
 
 # ---------------------------------------------------------------------------
 # unification and resolution
+#
+# Inside the prover a variable is an int, a constant its name and a Skolem
+# term a (name, args) tuple. A clause is a tuple of distinct literals with
+# its variables numbered 0, 1, ... by first occurrence; the copy of a kept
+# clause renamed apart from the given clause maps each variable v to ~v.
+
+def _encode(term, ids: dict):
+    t = type(term)
+    if t is Var:
+        return ids.setdefault(term.name, len(ids))
+    if t is Const:
+        return term.name
+    return (term.name, tuple([_encode(a, ids) for a in term.args]))
+
+
+def _build(lits, subst: dict) -> tuple:
+    """Apply subst to lits, keep the first of repeated literals and number
+    the variables 0, 1, ... by first occurrence."""
+    ids: dict = {}
+
+    def term(t):
+        t = _walk(t, subst)
+        if type(t) is int:
+            return ids.setdefault(t, len(ids))
+        if type(t) is str:
+            return t
+        return (t[0], tuple([term(a) for a in t[1]]))
+
+    return tuple(dict.fromkeys([(s, p, tuple([term(t) for t in args])) for s, p, args in lits]))
+
+
+def _renamed(term):
+    if type(term) is int:
+        return ~term
+    if type(term) is str:
+        return term
+    return (term[0], tuple([_renamed(a) for a in term[1]]))
+
 
 def _unify(a, b, subst: dict) -> bool:
-    """Extend subst, which maps variable names to terms, in place to a most
+    """Extend subst, which maps variables to terms, in place to a most
     general unifier of a and b. On False no unifier exists and subst is
     left half-built."""
     a = _walk(a, subst)
     b = _walk(b, subst)
-    ta = type(a)
-    tb = type(b)
-    if ta is Var:
-        if tb is Var and a.name == b.name:
-            return True
-        if _occurs(a.name, b, subst):
-            return False
-        subst[a.name] = b
+    if a == b:
         return True
-    if tb is Var:
-        if _occurs(b.name, a, subst):
+    if type(a) is int:
+        if _occurs(a, b, subst):
             return False
-        subst[b.name] = a
+        subst[a] = b
         return True
-    if ta is Const:
-        return tb is Const and a.name == b.name
-    return tb is Func and a.name == b.name and _unify_tuples(a.args, b.args, subst)
+    if type(b) is int:
+        if _occurs(b, a, subst):
+            return False
+        subst[b] = a
+        return True
+    if type(a) is str or type(b) is str:
+        return False
+    return a[0] == b[0] and _unify_tuples(a[1], b[1], subst)
 
 
 def _walk(term, subst):
-    while type(term) is Var:
-        bound = subst.get(term.name)
+    while type(term) is int:
+        bound = subst.get(term)
         if bound is None:
             return term
         term = bound
     return term
 
 
-def _occurs(name: str, term, subst) -> bool:
+def _occurs(var: int, term, subst) -> bool:
     term = _walk(term, subst)
-    if type(term) is Var:
-        return term.name == name
-    if type(term) is Func:
-        return any(_occurs(name, t, subst) for t in term.args)
+    if type(term) is int:
+        return term == var
+    if type(term) is tuple:
+        return any(_occurs(var, t, subst) for t in term[1])
     return False
 
 
@@ -303,104 +338,38 @@ def _unify_tuples(xs: tuple, ys: tuple, subst: dict) -> bool:
     return True
 
 
-def _apply(term, subst):
-    term = _walk(term, subst)
-    if type(term) is Func:
-        return Func(term.name, tuple([_apply(t, subst) for t in term.args]))
-    return term
-
-
-def _apply_clause(clause, subst) -> Clause:
-    # The search follows each clause's iteration order, which depends on the
-    # order its literals were inserted. Both branches insert them in the
-    # order of `clause`, so skipping the rebuild keeps the search the same.
-    if not subst:
-        return frozenset(iter(clause))
-    return frozenset([
-        (sign, pred, tuple([t if type(t) is Const else _apply(t, subst) for t in args]))
-        for sign, pred, args in clause
-    ])
-
-
-def _rename_clause(clause: Clause, suffix: str) -> Clause:
-    def ren(term):
-        if type(term) is Var:
-            return Var(term.name + suffix)
-        if type(term) is Func:
-            return Func(term.name, tuple(ren(t) for t in term.args))
-        return term
-
-    return frozenset(
-        (sign, pred, tuple(ren(t) for t in args)) for sign, pred, args in clause
-    )
-
-
-def _signature(clause: Clause) -> frozenset:
+def _signature(clause: tuple) -> frozenset:
     """The (sign, predicate) pairs of a clause's literals."""
     return frozenset([lit[:2] for lit in clause])
 
 
-def _by_signature(clause: Clause) -> dict:
-    """The literals of a clause grouped by (sign, predicate), each group in
-    the clause's iteration order."""
+def _by_signature(clause: tuple) -> dict:
+    """(index, args) of a clause's literals grouped by (sign, predicate),
+    each group in clause order."""
     groups: dict = {}
-    for lit in clause:
-        groups.setdefault(lit[:2], []).append(lit)
+    for j, (sign, pred, args) in enumerate(clause):
+        groups.setdefault((sign, pred), []).append((j, args))
     return groups
-
-
-def _resolvents(c1: Clause, c2: Clause, c2_groups: dict):
-    """All binary resolvents of c1 against c2, a copy renamed apart from it
-    whose literals `_by_signature` grouped, in the order of c1's literals
-    and then of c2's."""
-    for lit1 in c1:
-        sign1, pred1, args1 = lit1
-        for lit2 in c2_groups.get((not sign1, pred1), ()):
-            subst: dict = {}
-            if _unify_tuples(args1, lit2[2], subst):
-                yield _apply_clause((c1 - {lit1}) | (c2 - {lit2}), subst)
-
-
-def _factors(clause: Clause):
-    lits = sorted(clause, key=repr)
-    for i in range(len(lits)):
-        for j in range(i + 1, len(lits)):
-            s1, p1, a1 = lits[i]
-            s2, p2, a2 = lits[j]
-            if s1 != s2 or p1 != p2:
-                continue
-            subst: dict = {}
-            if _unify_tuples(a1, a2, subst):
-                yield _apply_clause(clause, subst)
-
-
-def _is_ground(clause: Clause) -> bool:
-    return not any(_has_var(t) for _, _, args in clause for t in args)
 
 
 def _has_var(term) -> bool:
     t = type(term)
-    return t is Var or (t is Func and any(_has_var(a) for a in term.args))
+    return t is int or (t is tuple and any(_has_var(a) for a in term[1]))
 
 
-def _subsumes(c: Clause, d: Clause, c_ground: bool) -> bool:
+def _subsumes(c: tuple, d: tuple, c_ground: bool) -> bool:
     """True when some substitution maps every literal of c into d. A
-    ground c has only the empty substitution, so then that is c <= d."""
+    ground c has only the empty substitution."""
     if len(c) > len(d):
         return False
-    if c <= d:
-        return True
     if c_ground:
-        return False
-
-    c_lits = list(c)
-    d_lits = list(d)
+        return all(lit in d for lit in c)
 
     def match(i: int, subst: dict) -> bool:
-        if i == len(c_lits):
+        if i == len(c):
             return True
-        sign, pred, args = c_lits[i]
-        for dsign, dpred, dargs in d_lits:
+        sign, pred, args = c[i]
+        for dsign, dpred, dargs in d:
             if dsign != sign or dpred != pred:
                 continue
             nxt = _unify_match(args, dargs, subst)
@@ -425,23 +394,29 @@ def _unify_match(xs: tuple, ys: tuple, subst: dict) -> dict | None:
 
 def _match_term(x, y, subst) -> dict | None:
     t = type(x)
-    if t is Var:
-        bound = subst.get(x.name)
+    if t is int:
+        bound = subst.get(x)
         if bound is None:
-            return {**subst, x.name: y}
+            return {**subst, x: y}
         return subst if bound == y else None
-    if t is Const:
+    if t is str:
         return subst if x == y else None
-    if t is Func and type(y) is Func:
-        if x.name != y.name:
-            return None
-        return _unify_match(x.args, y.args, subst)
+    if type(y) is tuple and x[0] == y[0]:
+        return _unify_match(x[1], y[1], subst)
     return None
 
 
 def resolution_refute(clauses, budget: ProverBudget) -> str:
     """Given-clause saturation; REFUTED certifies unsatisfiability and
     SATURATED certifies satisfiability.
+
+    Every factor and resolvent is unified and counted when it is
+    generated, but queued as (parent, i, kept copy, j, mgu) and built only
+    when it leaves the queue: the rest of the parent's literals, then the
+    rest of the copy's, under the mgu. The empty resolvent has two unit
+    parents. Factors of the given clause are queued before its resolvents,
+    which follow the kept clauses in the order they were kept, so the
+    search follows the input's order.
 
     Each kept clause carries its (sign, predicate) signature, whether it is
     ground, and a copy renamed apart with that copy's literals grouped by
@@ -452,13 +427,21 @@ def resolution_refute(clauses, budget: ProverBudget) -> str:
     unifying anything.
     """
     deadline = time.monotonic() + budget.max_seconds
-    kept: list[tuple[Clause, frozenset, bool, Clause, dict]] = []
-    queue = deque(frozenset(c) for c in clauses)
+    kept: list[tuple[tuple, frozenset, bool, tuple, dict]] = []
+    queue = deque()
+    for clause in clauses:
+        ids: dict = {}
+        lits = [(s, p, tuple([_encode(t, ids) for t in args])) for s, p, args in clause]
+        queue.append((lits, 0, None, 0, {}))
     generated = len(queue)
     while queue:
         if time.monotonic() > deadline or generated > budget.max_clauses:
             return BUDGET_EXCEEDED
-        given = queue.popleft()
+        parent, i, other, j, mgu = queue.popleft()
+        if other is None:  # an input clause or a factor
+            given = _build(parent, mgu)
+        else:
+            given = _build(parent[:i] + parent[i + 1:] + other[:j] + other[j + 1:], mgu)
         if not given:
             return REFUTED
         sig = _signature(given)
@@ -468,19 +451,27 @@ def resolution_refute(clauses, budget: ProverBudget) -> str:
         if any(k_sig <= sig and _subsumes(k, given, k_ground)
                for k, k_sig, k_ground, _, _ in kept):
             continue
-        ground = _is_ground(given)
+        ground = not any(_has_var(t) for _, _, args in given for t in args)
         kept = [e for e in kept if not (sig <= e[1] and _subsumes(given, e[0], ground))]
-        renamed = _rename_clause(given, "r")
+        renamed = tuple([(s, p, tuple([_renamed(t) for t in args])) for s, p, args in given])
         kept.append((given, sig, ground, renamed, _by_signature(renamed)))
-        new: list[Clause] = list(_factors(given)) if len(sig) < len(given) else []
+        if len(sig) < len(given):
+            for i, j in itertools.combinations(range(len(given)), 2):
+                mgu = {}
+                if given[i][:2] == given[j][:2] and _unify_tuples(given[i][2], given[j][2], mgu):
+                    generated += 1
+                    queue.append((given, i, None, j, mgu))
         for _, k_sig, _, k_renamed, k_groups in kept:
-            if not co_sig.isdisjoint(k_sig):
-                new.extend(_resolvents(given, k_renamed, k_groups))
-        for clause in new:
-            generated += 1
-            if not clause:
-                return REFUTED
-            queue.append(clause)
+            if co_sig.isdisjoint(k_sig):
+                continue
+            for i, (sign, pred, args) in enumerate(given):
+                for j, k_args in k_groups.get((not sign, pred), ()):
+                    mgu = {}
+                    if _unify_tuples(args, k_args, mgu):
+                        generated += 1
+                        if len(given) == 1 and len(k_renamed) == 1:
+                            return REFUTED
+                        queue.append((given, i, k_renamed, j, mgu))
     return SATURATED
 
 

@@ -236,3 +236,16 @@ def test_verify_reads_files(tmp_path):
     left.write_text("¬(p1 ∧ p2)\n")
     right.write_text("¬p1 ∨ ¬p2\n")
     assert run_cli("verify", "prop", f"@{left}", f"@{right}") == 0
+
+
+@pytest.mark.parametrize("budgets,named", [
+    ({"max_clause": 1000}, "'max_clause'"),
+    ({"max_clauses": "many"}, "'max_clauses'"),
+])
+def test_bad_budget_in_config_is_an_error(tmp_path, capsys, budgets, named):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"budgets": budgets}))
+    code = run_cli("verify", "fol", "∀x. pred1(x)", "∃x. pred1(x)", "--config", config)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and named in err

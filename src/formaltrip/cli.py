@@ -11,6 +11,7 @@ import glob
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import report as report_mod
@@ -146,13 +147,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> dict:
-    if args.config:
-        return json.loads(Path(args.config).read_text(encoding="utf-8"))
-    return {}
+    if not args.config:
+        return {}
+    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    if not isinstance(config, dict):
+        raise ValueError("config must be a JSON object")
+    concurrency = config.get("concurrency", 1)
+    if type(concurrency) is not int or concurrency < 1:
+        raise ValueError(f"config 'concurrency' must be an integer >= 1, not {concurrency!r}")
+    return config
+
+
+def _section(config: dict, name: str, cls) -> dict:
+    """Config section `name`, checked against the fields of dataclass cls:
+    each key must be a field, and each value of its default's type (an int
+    may stand for a float)."""
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"config {name!r} must be an object")
+    kinds = {f.name: type(f.default) for f in fields(cls)}
+    for key, value in section.items():
+        if key not in kinds:
+            raise ValueError(f"unknown key {key!r} in config {name!r}")
+        if type(value) is not kinds[key] and (type(value), kinds[key]) != (int, float):
+            raise ValueError(f"config {name!r} key {key!r} must be of type "
+                             f"{kinds[key].__name__}, not {value!r}")
+    return section
 
 
 def _provider_config(args, config: dict) -> ProviderConfig:
-    section = dict(config.get("provider", {}))
+    section = dict(_section(config, "provider", ProviderConfig))
     if getattr(args, "provider", None):
         kind = PROVIDER_SHORTHANDS.get(args.provider, args.provider)
         section["kind"] = kind
@@ -165,17 +189,7 @@ def _provider_config(args, config: dict) -> ProviderConfig:
 
 
 def _budget(config: dict) -> ProverBudget:
-    section = config.get("budgets", {})
-    if not isinstance(section, dict):
-        raise ValueError("config 'budgets' must be an object")
-    defaults = vars(ProverBudget())
-    for key, value in section.items():
-        if key not in defaults:
-            raise ValueError(f"unknown budget {key!r} in config 'budgets'")
-        if type(value) not in (int, type(defaults[key])):
-            kind = "a number" if type(defaults[key]) is float else "an integer"
-            raise ValueError(f"budget {key!r} must be {kind}, not {value!r}")
-    return ProverBudget(**section)
+    return ProverBudget(**_section(config, "budgets", ProverBudget))
 
 
 def _expand_paths(patterns) -> list[Path]:
@@ -259,7 +273,7 @@ def cmd_run(args) -> int:
     config = _load_config(args)
     provider_config = _provider_config(args, config)
     budget = _budget(config)
-    width = args.width or int(config.get("concurrency", 1))
+    width = args.width or config.get("concurrency", 1)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache = ResponseCache(out_dir / "response_cache.jsonl")

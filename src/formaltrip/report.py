@@ -48,6 +48,11 @@ def summarize_run(
     comp_values, acc_values = [], []
     for name in sorted(batches):
         rows = batches[name]
+        if all(r.errored for r in rows):  # nothing to score: null, and no batch_stats value
+            per_batch[name] = {
+                "records": len(rows), "compliance": None, "accuracy": None, "unknown_rate": None,
+            }
+            continue
         c, _ = m.compliance(rows)
         a, _ = m.accuracy(rows)
         comp_values.append(c)

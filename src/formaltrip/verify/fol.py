@@ -16,7 +16,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..syntax.nodes import (
-    EXISTS,
     FORALL,
     And,
     Atom,
@@ -46,23 +45,10 @@ BUDGET_EXCEEDED = "budget_exceeded"
 
 
 # ---------------------------------------------------------------------------
-# terms, literals, clauses
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Const:
-    name: str
-
-
-@dataclass(frozen=True)
-class Func:
-    name: str
-    args: tuple
-
+# literals and models
+#
+# Inside the prover a variable is an int, a constant or Skolem constant its
+# name and a Skolem function term a (name, args) tuple.
 
 Literal = tuple[bool, str, tuple]  # (positive?, predicate, argument terms)
 
@@ -131,113 +117,50 @@ def as_quantified_tree(formula: FolFormula):
 
 
 # ---------------------------------------------------------------------------
-# clausification: NNF -> standardize apart -> skolemize -> distribute
-
-class _Gensym:
-    def __init__(self, prefix: str):
-        self.prefix = prefix
-        self.n = 0
-
-    def __call__(self) -> str:
-        self.n += 1
-        return f"{self.prefix}{self.n - 1}"
-
+# clausification
 
 def clausify(formula: FolFormula) -> list[tuple[Literal, ...]]:
     """Equisatisfiable clause set, each clause its distinct literals in
-    order; Skolem symbols are fresh per call."""
-    tree = _nnf(as_quantified_tree(universal_closure(formula)), positive=True)
-    fresh_var = _Gensym("v")
-    fresh_sk = _Gensym("sk")
-    matrix = _skolemize(tree, {}, (), fresh_var, fresh_sk)
+    order. Skolem symbols are fresh per call and never share a name with a
+    constant of the formula."""
+    constants, _ = collect_symbols(formula)
+    skolems = (name for name in map("sk{}".format, itertools.count()) if name not in constants)
+    tree = as_quantified_tree(universal_closure(formula))
     out = []
-    for clause in _distribute(matrix):
+    for clause in _cnf(tree, True, {}, (), itertools.count(), skolems):
         c = tuple(dict.fromkeys(clause))
         if not _is_tautology(c):
             out.append(c)
     return out
 
 
-def _nnf(node, positive: bool):
-    if isinstance(node, Atom):
-        return node if positive else Not(node)
-    if isinstance(node, Not):
-        return _nnf(node.child, not positive)
-    if isinstance(node, And):
-        children = tuple(_nnf(c, positive) for c in node.children)
-        return And(children) if positive else Or(children)
-    if isinstance(node, Or):
-        children = tuple(_nnf(c, positive) for c in node.children)
-        return Or(children) if positive else And(children)
-    if isinstance(node, Quantified):
-        kind = node.kind
-        if not positive:
-            kind = EXISTS if kind == FORALL else FORALL
-        return Quantified(kind, node.variables, _nnf(node.body, positive))
-    raise TypeError(f"not a first-order node: {node!r}")
-
-
-def _skolemize(node, env: dict[str, object], universals: tuple, fresh_var, fresh_sk):
-    """Drop quantifiers from an NNF tree, producing a quantifier-free matrix.
-
-    env maps source variable names to terms (renamed Var or Skolem term);
-    universals tracks governing universal variables for Skolem functions.
-    """
-    if isinstance(node, Atom):
-        terms = tuple(_subst_term(t, env) for t in node.terms)
-        return Atom(node.predicate, terms)
-    if isinstance(node, Not):
-        return Not(_skolemize(node.child, env, universals, fresh_var, fresh_sk))
-    if isinstance(node, (And, Or)):
-        children = tuple(
-            _skolemize(c, env, universals, fresh_var, fresh_sk) for c in node.children
-        )
-        return And(children) if isinstance(node, And) else Or(children)
-    if isinstance(node, Quantified):
+def _cnf(node, positive: bool, env: dict, universals: tuple, variables, skolems) -> list[list]:
+    """The clauses of node, negated unless positive, in one walk: negation
+    goes to the atoms, each quantified variable is replaced as it is met (a
+    universal by a fresh int from variables, an existential by a Skolem
+    term over the universals in scope) and disjunctions distribute over
+    conjunctions. env maps source variable names to those terms."""
+    t = type(node)
+    if t is Atom:
+        args = tuple([env[a.name] if type(a) is Variable else a.name for a in node.terms])
+        return [[(positive, node.predicate, args)]]
+    if t is Not:
+        return _cnf(node.child, not positive, env, universals, variables, skolems)
+    if t is Quantified:
         env = dict(env)
-        if node.kind == FORALL:
-            for name in node.variables:
-                v = Var(fresh_var())
-                env[name] = v
-                universals = universals + (v,)
-        else:
-            for name in node.variables:
-                sk_name = fresh_sk()
-                env[name] = Func(sk_name, universals) if universals else Const(sk_name)
-        return _skolemize(node.body, env, universals, fresh_var, fresh_sk)
-    raise TypeError(f"not a first-order node: {node!r}")
-
-
-def _subst_term(term, env):
-    if isinstance(term, Variable):
-        # unbound variables cannot appear after universal closure
-        return env[term.name]
-    if isinstance(term, Constant):
-        return Const(term.name)
-    raise TypeError(f"not a term: {term!r}")
-
-
-def _distribute(node) -> list[list[Literal]]:
-    if isinstance(node, Atom):
-        return [[(True, node.predicate, node.terms)]]
-    if isinstance(node, Not):
-        inner = node.child
-        return [[(False, inner.predicate, inner.terms)]]
-    if isinstance(node, And):
-        out: list[list[Literal]] = []
-        for c in node.children:
-            out.extend(_distribute(c))
-        return out
-    if isinstance(node, Or):
-        parts = [_distribute(c) for c in node.children]
-        out = []
-        for combo in itertools.product(*parts):
-            merged: list[Literal] = []
-            for clause in combo:
-                merged.extend(clause)
-            out.append(merged)
-        return out
-    raise TypeError(f"unexpected node in matrix: {node!r}")
+        for name in node.variables:
+            if (node.kind == FORALL) == positive:
+                env[name] = next(variables)
+                universals += (env[name],)
+            else:
+                env[name] = (next(skolems), universals) if universals else next(skolems)
+        return _cnf(node.body, positive, env, universals, variables, skolems)
+    if t not in (And, Or):
+        raise TypeError(f"not a first-order node: {node!r}")
+    parts = [_cnf(c, positive, env, universals, variables, skolems) for c in node.children]
+    if (t is And) == positive:
+        return [clause for part in parts for clause in part]
+    return [list(itertools.chain(*combo)) for combo in itertools.product(*parts)]
 
 
 def _is_tautology(clause: tuple) -> bool:
@@ -250,19 +173,9 @@ def _is_tautology(clause: tuple) -> bool:
 # ---------------------------------------------------------------------------
 # unification and resolution
 #
-# Inside the prover a variable is an int, a constant its name and a Skolem
-# term a (name, args) tuple. A clause is a tuple of distinct literals with
-# its variables numbered 0, 1, ... by first occurrence; the copy of a kept
-# clause renamed apart from the given clause maps each variable v to ~v.
-
-def _encode(term, ids: dict):
-    t = type(term)
-    if t is Var:
-        return ids.setdefault(term.name, len(ids))
-    if t is Const:
-        return term.name
-    return (term.name, tuple([_encode(a, ids) for a in term.args]))
-
+# A built clause is a tuple of distinct literals with its variables numbered
+# 0, 1, ... by first occurrence; the copy of a kept clause renamed apart from
+# the given clause maps each variable v to ~v.
 
 def _build(lits, subst: dict) -> tuple:
     """Apply subst to lits, keep the first of repeated literals and number
@@ -407,8 +320,9 @@ def _match_term(x, y, subst) -> dict | None:
 
 
 def resolution_refute(clauses, budget: ProverBudget) -> str:
-    """Given-clause saturation; REFUTED certifies unsatisfiability and
-    SATURATED certifies satisfiability.
+    """Given-clause saturation over clauses in the form `clausify` returns;
+    REFUTED certifies unsatisfiability and SATURATED certifies
+    satisfiability.
 
     Every factor and resolvent is unified and counted when it is
     generated, but queued as (parent, i, kept copy, j, mgu) and built only
@@ -428,11 +342,7 @@ def resolution_refute(clauses, budget: ProverBudget) -> str:
     """
     deadline = time.monotonic() + budget.max_seconds
     kept: list[tuple[tuple, frozenset, bool, tuple, dict]] = []
-    queue = deque()
-    for clause in clauses:
-        ids: dict = {}
-        lits = [(s, p, tuple([_encode(t, ids) for t in args])) for s, p, args in clause]
-        queue.append((lits, 0, None, 0, {}))
+    queue = deque([(clause, 0, None, 0, {}) for clause in clauses])
     generated = len(queue)
     while queue:
         if time.monotonic() > deadline or generated > budget.max_clauses:

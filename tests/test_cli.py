@@ -249,3 +249,49 @@ def test_bad_budget_in_config_is_an_error(tmp_path, capsys, budgets, named):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("config,named", [
+    ({"provider": {"kind": "perfect_oracle", "modle": 3}}, "'modle'"),
+    ([1], "JSON object"),
+    ({"provider": {"kind": "perfect_oracle"}, "concurrency": [2]}, "'concurrency'"),
+])
+def test_malformed_config_is_an_error(dataset_dir, tmp_path, capsys, config, named):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = run_cli(
+        "run", "--dataset", dataset_dir / "prop_operator_total_batch0.jsonl",
+        "--config", path, "--output-dir", tmp_path / "run",
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and named in err
+
+
+def test_report_nulls_a_batch_with_nothing_to_score(dataset_dir, tmp_path):
+    run_dir = tmp_path / "run"
+    assert run_cli(
+        "run", "--provider", "perfect-oracle",
+        "--dataset", dataset_dir / "prop_operator_total_batch0.jsonl", "--output-dir", run_dir,
+    ) == 0
+    scored = run_dir / "results_prop_operator_total_batch0.jsonl"
+    header, *rows = scored.read_text(encoding="utf-8").splitlines()
+    empty, errored = run_dir / "results_empty.jsonl", run_dir / "results_errored.jsonl"
+    empty.write_text(header + "\n", encoding="utf-8")
+    rows = [json.dumps({**json.loads(row), "error": "ProviderError: down"}) for row in rows]
+    errored.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+
+    assert run_cli("report", "--results", scored, "--output-dir", tmp_path / "alone") == 0
+    assert run_cli("report", "--results", scored, empty, errored, "--output-dir", run_dir) == 0
+    summary = json.loads((run_dir / "summary.json").read_text())
+    for name in ("results_empty", "results_errored"):
+        batch = summary["batches"][name]
+        assert batch["compliance"] is batch["accuracy"] is batch["unknown_rate"] is None
+    only = summary["batches"]["results_prop_operator_total_batch0"]
+    assert summary["batch_stats"]["compliance"]["values"] == [only["compliance"]]
+    assert summary["batch_stats"]["accuracy"]["values"] == [only["accuracy"]]
+    # errored records are no category's samples, so the table is unchanged
+    csv = "summary_categories.csv"
+    assert (run_dir / csv).read_text() == (tmp_path / "alone" / csv).read_text()
+
+    assert run_cli("report", "--results", empty, errored, "--output-dir", run_dir) == 3

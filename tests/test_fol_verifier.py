@@ -20,8 +20,9 @@ from formaltrip.verify import (
     find_countermodel,
     resolution_refute,
     universal_closure,
+    verify_pair,
 )
-from formaltrip.verify.fol import BUDGET_EXCEEDED, REFUTED, SATURATED, Const, Var
+from formaltrip.verify.fol import BUDGET_EXCEEDED, REFUTED, SATURATED
 from formaltrip.verify.verdict import Status
 
 QUICK = ProverBudget(max_clauses=5000, max_seconds=5.0, max_model_domain=3)
@@ -91,21 +92,41 @@ def test_single_literal_clause():
     out = clausify(parse_fol("∀x. pred1(x)"))
     assert len(out) == 1
     ((sign, pred, args),) = list(out[0])
-    assert sign and pred == "pred1" and isinstance(args[0], Var)
+    assert sign and pred == "pred1" and type(args[0]) is int
 
 
 def test_existential_becomes_skolem_constant():
     out = clausify(parse_fol("∃y. ¬pred1(y)"))
     ((sign, pred, args),) = list(out[0])
-    assert not sign and isinstance(args[0], Const)
+    assert not sign and type(args[0]) is str
 
 
 def test_existential_under_universal_becomes_function():
     out = clausify(parse_fol("∀x.∃y. pred2(x,y)"))
     ((sign, pred, args),) = list(out[0])
-    assert isinstance(args[0], Var)
-    assert type(args[1]).__name__ == "Func"
-    assert args[1].args == (args[0],)
+    assert type(args[0]) is int
+    assert type(args[1]) is tuple
+    assert args[1][1] == (args[0],)
+
+
+def test_skolem_symbols_skip_the_formulas_constants():
+    out = clausify(parse_fol("(∃y. pred1(y)) ∧ (∀x. ∃z. pred2(x, z)) ∧ pred2(sk0, sk1)"))
+    skolems = {args[0] for _, _, args in out[0]} | {args[1][0] for _, _, args in out[1]}
+    assert len(skolems) == 2 and not skolems & {"sk0", "sk1"}
+
+
+@pytest.mark.parametrize("left,right,budget", [
+    ("∀x. pred1(x)",
+     "pred1(sk1) ∧ ((∀x. pred1(x)) ∨ "
+     "(∃y. ∃z. (¬pred1(y) ∧ ¬pred1(z) ∧ pred2(y) ∧ ¬pred2(z))))",
+     None),
+    ("pred1(sk0)", "∀x. pred1(x)", ProverBudget(max_model_domain=1)),
+])
+def test_constant_named_like_a_skolem_symbol(left, right, budget):
+    # a Skolem constant sharing a source constant's name would make these
+    # differences unsatisfiable and the pairs "equivalent"
+    verdict = verify_pair("fol", parse_fol(left), parse_fol(right), budget)
+    assert verdict.status == Status.NOT_EQUIVALENT
 
 
 # --- resolution ---------------------------------------------------------------

@@ -2,7 +2,8 @@
 the interpreter's string hashing.
 
 Clauses here are written as lists of (positive?, predicate, argument terms)
-literals over `Var`, `Const` and `Func`, the terms `clausify` produces.
+literals over the terms `clausify` produces: a variable is an int, a
+constant its name and a function term a (name, args) tuple.
 """
 
 import os
@@ -15,20 +16,17 @@ from formaltrip.verify.fol import (
     BUDGET_EXCEEDED,
     REFUTED,
     SATURATED,
-    Const,
-    Func,
     ProverBudget,
-    Var,
     resolution_refute,
 )
 
 BUDGET = ProverBudget(max_clauses=1000, max_seconds=30.0)
-x, y, u, v = Var("x"), Var("y"), Var("u"), Var("v")
-a = Const("a")
+x, y, u, v = 0, 1, 2, 3
+a = "a"
 
 
 def f(term):
-    return Func("f", (term,))
+    return ("f", (term,))
 
 
 def P(*args):

@@ -273,7 +273,9 @@ def cmd_run(args) -> int:
     config = _load_config(args)
     provider_config = _provider_config(args, config)
     budget = _budget(config)
-    width = args.width or config.get("concurrency", 1)
+    width = config.get("concurrency", 1) if args.width is None else args.width
+    if width < 1:
+        raise ValueError(f"--width must be at least 1, not {width}")
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache = ResponseCache(out_dir / "response_cache.jsonl")

@@ -1,11 +1,14 @@
 """First-order equivalence checking.
 
-The negative direction enumerates finite interpretations (small domains
-first, with symmetry pruning on constant assignments) looking for a model
-where exactly one formula holds. The positive direction refutes the
-negated biconditional by saturation-based binary resolution with
-factoring and subsumption. First-order logic being undecidable, both
-sides are budgeted and a resource-bounded Unknown is a possible outcome.
+The negative direction searches finite interpretations, small domains
+first, with symmetry pruning on constant assignments, for a model where
+exactly one formula holds. For each domain size and constant assignment
+both formulas are grounded, each ground atom one propositional variable,
+and evaluated once as bit-parallel truth tables over every choice of
+relations. The positive direction refutes the negated biconditional by
+saturation-based binary resolution with factoring and subsumption.
+First-order logic being undecidable, both sides are budgeted and a
+resource-bounded Unknown is a possible outcome.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
 from ..syntax.nodes import (
     FORALL,
@@ -29,6 +34,7 @@ from ..syntax.nodes import (
     walk,
 )
 from ..syntax.printer import print_fol
+from . import prop
 from .verdict import EquivalenceVerdict, equivalent, not_equivalent, unknown
 
 
@@ -177,20 +183,23 @@ def _is_tautology(clause: tuple) -> bool:
 # 0, 1, ... by first occurrence; the copy of a kept clause renamed apart from
 # the given clause maps each variable v to ~v.
 
-def _build(lits, subst: dict) -> tuple:
+def _build(lits, subst: dict) -> tuple[tuple, bool]:
     """Apply subst to lits, keep the first of repeated literals and number
-    the variables 0, 1, ... by first occurrence."""
+    the variables 0, 1, ... by first occurrence; also whether the clause is
+    ground."""
     ids: dict = {}
 
     def term(t):
-        t = _walk(t, subst)
-        if type(t) is int:
-            return ids.setdefault(t, len(ids))
+        while type(t) is int:
+            if t not in subst:
+                return ids.setdefault(t, len(ids))
+            t = subst[t]
         if type(t) is str:
             return t
         return (t[0], tuple([term(a) for a in t[1]]))
 
-    return tuple(dict.fromkeys([(s, p, tuple([term(t) for t in args])) for s, p, args in lits]))
+    clause = tuple(dict.fromkeys([(s, p, tuple([term(t) for t in args])) for s, p, args in lits]))
+    return clause, not ids
 
 
 def _renamed(term):
@@ -201,73 +210,49 @@ def _renamed(term):
     return (term[0], tuple([_renamed(a) for a in term[1]]))
 
 
-def _unify(a, b, subst: dict) -> bool:
+def _mgu(xs: tuple, ys: tuple, subst: dict) -> bool:
     """Extend subst, which maps variables to terms, in place to a most
-    general unifier of a and b. On False no unifier exists and subst is
-    left half-built."""
-    a = _walk(a, subst)
-    b = _walk(b, subst)
-    if a == b:
-        return True
-    if type(a) is int:
-        if _occurs(a, b, subst):
-            return False
-        subst[a] = b
-        return True
-    if type(b) is int:
-        if _occurs(b, a, subst):
-            return False
-        subst[b] = a
-        return True
-    if type(a) is str or type(b) is str:
-        return False
-    return a[0] == b[0] and _unify_tuples(a[1], b[1], subst)
-
-
-def _walk(term, subst):
-    while type(term) is int:
-        bound = subst.get(term)
-        if bound is None:
-            return term
-        term = bound
-    return term
-
-
-def _occurs(var: int, term, subst) -> bool:
-    term = _walk(term, subst)
-    if type(term) is int:
-        return term == var
-    if type(term) is tuple:
-        return any(_occurs(var, t, subst) for t in term[1])
-    return False
-
-
-def _unify_tuples(xs: tuple, ys: tuple, subst: dict) -> bool:
+    general unifier of the argument tuples xs and ys. On False no unifier
+    exists and subst is left half-built."""
     if len(xs) != len(ys):
         return False
-    for x, y in zip(xs, ys):
-        if not _unify(x, y, subst):
+    for a, b in zip(xs, ys):
+        while type(a) is int and a in subst:
+            a = subst[a]
+        while type(b) is int and b in subst:
+            b = subst[b]
+        if a == b:
+            continue
+        if type(a) is int:
+            if type(b) is tuple and _occurs(a, b, subst):
+                return False
+            subst[a] = b
+        elif type(b) is int:
+            if type(a) is tuple and _occurs(b, a, subst):
+                return False
+            subst[b] = a
+        elif type(a) is str or type(b) is str or a[0] != b[0] or not _mgu(a[1], b[1], subst):
             return False
     return True
 
 
-def _signature(clause: tuple) -> frozenset:
-    """The (sign, predicate) pairs of a clause's literals."""
-    return frozenset([lit[:2] for lit in clause])
+def _occurs(var: int, term: tuple, subst: dict) -> bool:
+    """Whether var occurs in the function term under subst."""
+    for t in term[1]:
+        while type(t) is int and t in subst:
+            t = subst[t]
+        if t == var or (type(t) is tuple and _occurs(var, t, subst)):
+            return True
+    return False
 
 
-def _by_signature(clause: tuple) -> dict:
-    """(index, args) of a clause's literals grouped by (sign, predicate),
-    each group in clause order."""
+def _by_signature(clause: tuple, bit: dict) -> dict:
+    """(index, args) of a clause's literals grouped by the bit of their
+    (sign, predicate), each group in clause order."""
     groups: dict = {}
     for j, (sign, pred, args) in enumerate(clause):
-        groups.setdefault((sign, pred), []).append((j, args))
+        groups.setdefault(bit[sign, pred], []).append((j, args))
     return groups
-
-
-def _has_var(term) -> bool:
-    t = type(term)
-    return t is int or (t is tuple and any(_has_var(a) for a in term[1]))
 
 
 def _subsumes(c: tuple, d: tuple, c_ground: bool) -> bool:
@@ -332,16 +317,22 @@ def resolution_refute(clauses, budget: ProverBudget) -> str:
     which follow the kept clauses in the order they were kept, so the
     search follows the input's order.
 
-    Each kept clause carries its (sign, predicate) signature, whether it is
-    ground, and a copy renamed apart with that copy's literals grouped by
-    signature. A clause can subsume only one whose signature holds its
-    own, a clause resolves only with one whose signature meets its
-    complement, and only a clause whose signature meets its own complement
-    can be a tautology: pairs failing these tests are skipped without
-    unifying anything.
+    Each (sign, predicate) pair has one bit, and a clause's signature is
+    the bitmask of its literals' pairs. Each kept clause carries its
+    signature, whether it is ground, and a copy renamed apart with that
+    copy's literals grouped by bit. A clause can subsume only one whose
+    signature holds its own, a clause resolves only with one whose
+    signature meets its complement, and only a clause whose signature
+    meets its own complement can be a tautology: pairs failing these tests
+    are skipped without unifying anything.
     """
     deadline = time.monotonic() + budget.max_seconds
-    kept: list[tuple[tuple, frozenset, bool, tuple, dict]] = []
+    bit: dict = {}
+    for clause in clauses:
+        for _, pred, _ in clause:
+            bit.setdefault((True, pred), 1 << len(bit))
+            bit.setdefault((False, pred), 1 << len(bit))
+    kept: list[tuple[tuple, int, bool, tuple, dict]] = []
     queue = deque([(clause, 0, None, 0, {}) for clause in clauses])
     generated = len(queue)
     while queue:
@@ -349,35 +340,41 @@ def resolution_refute(clauses, budget: ProverBudget) -> str:
             return BUDGET_EXCEEDED
         parent, i, other, j, mgu = queue.popleft()
         if other is None:  # an input clause or a factor
-            given = _build(parent, mgu)
+            given, ground = _build(parent, mgu)
         else:
-            given = _build(parent[:i] + parent[i + 1:] + other[:j] + other[j + 1:], mgu)
+            given, ground = _build(parent[:i] + parent[i + 1:] + other[:j] + other[j + 1:], mgu)
         if not given:
             return REFUTED
-        sig = _signature(given)
-        co_sig = frozenset([(not sign, pred) for sign, pred in sig])
-        if not sig.isdisjoint(co_sig) and _is_tautology(given):
+        sig = co_sig = 0
+        for sign, pred, _ in given:
+            sig |= bit[sign, pred]
+            co_sig |= bit[not sign, pred]
+        if sig & co_sig and _is_tautology(given):
             continue
-        if any(k_sig <= sig and _subsumes(k, given, k_ground)
+        literals = frozenset(given)
+        if any(k_sig | sig == sig and (literals.issuperset(k) if k_ground else _subsumes(k, given, False))
                for k, k_sig, k_ground, _, _ in kept):
             continue
-        ground = not any(_has_var(t) for _, _, args in given for t in args)
-        kept = [e for e in kept if not (sig <= e[1] and _subsumes(given, e[0], ground))]
-        renamed = tuple([(s, p, tuple([_renamed(t) for t in args])) for s, p, args in given])
-        kept.append((given, sig, ground, renamed, _by_signature(renamed)))
-        if len(sig) < len(given):
+        survives = [not (sig | e[1] == e[1] and _subsumes(given, e[0], ground)) for e in kept]
+        if not all(survives):
+            kept = list(itertools.compress(kept, survives))
+        renamed = given if ground else tuple(
+            [(s, p, tuple([_renamed(t) for t in args])) for s, p, args in given])
+        kept.append((given, sig, ground, renamed, _by_signature(renamed, bit)))
+        if sig.bit_count() < len(given):
             for i, j in itertools.combinations(range(len(given)), 2):
                 mgu = {}
-                if given[i][:2] == given[j][:2] and _unify_tuples(given[i][2], given[j][2], mgu):
+                if given[i][:2] == given[j][:2] and _mgu(given[i][2], given[j][2], mgu):
                     generated += 1
                     queue.append((given, i, None, j, mgu))
+        wanted = [(i, bit[not sign, pred], args) for i, (sign, pred, args) in enumerate(given)]
         for _, k_sig, _, k_renamed, k_groups in kept:
-            if co_sig.isdisjoint(k_sig):
+            if not co_sig & k_sig:
                 continue
-            for i, (sign, pred, args) in enumerate(given):
-                for j, k_args in k_groups.get((not sign, pred), ()):
+            for i, co_bit, args in wanted:
+                for j, k_args in k_groups.get(co_bit, ()):
                     mgu = {}
-                    if _unify_tuples(args, k_args, mgu):
+                    if _mgu(args, k_args, mgu):
                         generated += 1
                         if len(given) == 1 and len(k_renamed) == 1:
                             return REFUTED
@@ -449,38 +446,79 @@ def find_countermodel(
     budget: ProverBudget,
     domain_sizes=None,
 ) -> FiniteModel | None:
-    """Search small interpretations for one where exactly one formula holds."""
+    """Search small interpretations for one where exactly one formula holds.
+
+    For each domain size and constant assignment, in order, every choice of
+    relations is checked at once. Each ground atom (slot, tuple) is one
+    propositional variable, the last slot's tuples the lowest, so that row r
+    of a truth table is the r-th choice in counting order with the last slot
+    varying fastest. Each formula is evaluated over its grounding as a
+    truth-table column (`prop._column`), the rows in blocks of
+    2**prop.EXHAUSTIVE_LIMIT with the clock checked between blocks, and the
+    lowest row where the two differ is the first countermodel."""
     consts_f, preds_f = collect_symbols(f)
     consts_g, preds_g = collect_symbols(g)
     # the same name with two arities (across formulas) denotes two relations;
     # mixed-arity tuples coexist safely in one relation set
-    slots: set[tuple[str, int]] = set(preds_f.items()) | set(preds_g.items())
-    pred_slots = sorted(slots)
+    pred_slots = sorted(set(preds_f.items()) | set(preds_g.items()))
     constants = sorted(consts_f | consts_g | set(free_variables(f)) | set(free_variables(g)))
     if domain_sizes is None:
         domain_sizes = range(1, budget.max_model_domain + 1)
     deadline = time.monotonic() + budget.max_seconds
+    tf, tg = as_quantified_tree(f), as_quantified_tree(g)
     for k in domain_sizes:
-        tuple_spaces = [
-            list(itertools.product(range(k), repeat=arity)) for _, arity in pred_slots
-        ]
+        spaces = [list(itertools.product(range(k), repeat=arity)) for _, arity in pred_slots]
+        offsets, n = {}, 0
+        for slot, space in reversed(list(zip(pred_slots, spaces))):
+            offsets[slot] = n
+            n += len(space)
+        low = min(n, prop.EXHAUSTIVE_LIMIT)
+        rows = 1 << low
+        full = (1 << rows) - 1
+        low_columns = [prop._column(v, rows) for v in range(low)]
         for const_map in _constant_assignments(constants, k):
-            relation_choices = [range(1 << len(space)) for space in tuple_spaces]
-            for masks in itertools.product(*relation_choices):
+            for block in range(1 << (n - low)):
                 if time.monotonic() > deadline:
                     return None
-                rels: dict[str, frozenset] = {}
-                for i, (name, _) in enumerate(pred_slots):
-                    chosen = frozenset(
-                        tup
-                        for idx, tup in enumerate(tuple_spaces[i])
-                        if masks[i] >> idx & 1
-                    )
-                    rels[name] = rels.get(name, frozenset()) | chosen
-                model = FiniteModel(k, dict(const_map), rels)
-                if eval_in_model(f, model) != eval_in_model(g, model):
-                    return model
+                columns = low_columns + [full if block >> v & 1 else 0 for v in range(n - low)]
+                table = _grounded_table(k, const_map, offsets, columns, full)
+                diff = table(tf, {}) ^ table(tg, {})
+                if diff:
+                    row = block << low | (diff & -diff).bit_length() - 1
+                    rels: dict[str, frozenset] = {}
+                    for (name, arity), space in zip(pred_slots, spaces):
+                        bits = row >> offsets[name, arity]
+                        chosen = frozenset(tup for idx, tup in enumerate(space) if bits >> idx & 1)
+                        rels[name] = rels.get(name, frozenset()) | chosen
+                    return FiniteModel(k, dict(const_map), rels)
     return None
+
+
+def _grounded_table(k: int, constants: dict, offsets: dict, columns: list, full: int):
+    """The truth table of a quantified tree grounded over domain range(k):
+    a quantifier is the And or Or of its body over every binding, and the
+    atom pred(a1, ..., an) is the column of ground atom number
+    offsets[pred, n] + (a1 ... an read as base-k digits)."""
+
+    def table(node, env: dict) -> int:
+        t = type(node)
+        if t is Atom:
+            index = 0
+            for term in node.terms:
+                name = term.name
+                index = index * k + (env[name] if type(term) is Variable and name in env else constants[name])
+            return columns[offsets[node.predicate, len(node.terms)] + index]
+        if t is Not:
+            return full ^ table(node.child, env)
+        if t is Quantified:
+            parts = [table(node.body, {**env, **dict(zip(node.variables, combo))})
+                     for combo in itertools.product(range(k), repeat=len(node.variables))]
+            return reduce(and_ if node.kind == FORALL else or_, parts)
+        if t is And or t is Or:
+            return reduce(and_ if t is And else or_, [table(c, env) for c in node.children])
+        raise TypeError(f"not a first-order node: {node!r}")
+
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Regex equivalence via canonical minimal DFAs.
+"""Regex equivalence and DFA metrics.
 
-Pipeline: Thompson construction -> subset construction -> completion with
-a dead state -> partition-refinement minimization -> breadth-first
-renumbering (symbols in ascending order). Minimal DFAs are unique up to
-isomorphism, so canonical forms are equal exactly when the languages are.
+Both sides go through Thompson construction and the subset construction,
+which yields a complete DFA (the empty subset is the dead state).
+Equivalence is a breadth-first search over the product of the two DFAs,
+symbols in ascending order: the first state pair where exactly one side
+accepts gives the shortlex-least word in the symmetric difference, and
+none means the languages are equal. The DFA metrics use canonical minimal
+DFAs: partition-refinement minimization, then breadth-first renumbering.
 """
 
 from __future__ import annotations
@@ -295,20 +298,17 @@ def regex_symbols(node: RegexAst) -> set[str]:
 
 
 def equivalent_regex(r1: RegexAst, r2: RegexAst, alphabet=()) -> EquivalenceVerdict:
-    """Compare canonical DFAs; on mismatch return a shortest distinguishing word."""
+    """Equivalent, or not with the shortlex-least distinguishing word."""
     if r1 == r2:
         return equivalent()
     sigma = set(alphabet) | regex_symbols(r1) | regex_symbols(r2)
-    d1 = compile_regex(r1, sigma)
-    d2 = compile_regex(r2, sigma)
-    if d1 == d2:
-        return equivalent()
-    witness = _shortest_difference(d1, d2)
-    return not_equivalent(witness=witness)
+    witness = _shortest_difference(_determinize(to_nfa(r1, sigma)), _determinize(to_nfa(r2, sigma)))
+    return equivalent() if witness is None else not_equivalent(witness=witness)
 
 
-def _shortest_difference(d1: Dfa, d2: Dfa) -> str:
-    """BFS over the product automaton for the shortest distinguishing string."""
+def _shortest_difference(d1: Dfa, d2: Dfa) -> str | None:
+    """BFS over the product automaton for the shortlex-least word accepted
+    by exactly one DFA; None when there is none."""
     start = (d1.start, d2.start)
     parents: dict[tuple[int, int], tuple[tuple[int, int], str] | None] = {start: None}
     queue = deque([start])
@@ -327,7 +327,7 @@ def _shortest_difference(d1: Dfa, d2: Dfa) -> str:
             if nxt not in parents:
                 parents[nxt] = (pair, sym)
                 queue.append(nxt)
-    raise AssertionError("DFAs differ structurally but no distinguishing word found")
+    return None
 
 
 def dfa_metrics(dfa: CanonicalDfa) -> DfaMetrics:

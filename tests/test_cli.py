@@ -268,6 +268,19 @@ def test_malformed_config_is_an_error(dataset_dir, tmp_path, capsys, config, nam
     assert err.startswith("error: ") and named in err
 
 
+@pytest.mark.parametrize("width", [0, -1])
+def test_run_rejects_a_width_below_one(dataset_dir, tmp_path, capsys, width):
+    code = run_cli(
+        "run", "--provider", "perfect-oracle",
+        "--dataset", dataset_dir / "prop_operator_total_batch0.jsonl",
+        "--width", width, "--output-dir", tmp_path / "run",
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and "--width" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_report_nulls_a_batch_with_nothing_to_score(dataset_dir, tmp_path):
     run_dir = tmp_path / "run"
     assert run_cli(

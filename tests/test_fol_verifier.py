@@ -12,6 +12,7 @@ from conftest import random_fol
 from formaltrip.syntax import parse_fol
 from formaltrip.syntax.nodes import And, Atom, Constant, FolFormula, Not, Or, Quantified, Variable
 from formaltrip.verify import (
+    FiniteModel,
     ProverBudget,
     clausify,
     equivalent_fol,
@@ -22,7 +23,13 @@ from formaltrip.verify import (
     universal_closure,
     verify_pair,
 )
-from formaltrip.verify.fol import BUDGET_EXCEEDED, REFUTED, SATURATED
+from formaltrip.verify.fol import (
+    BUDGET_EXCEEDED,
+    REFUTED,
+    SATURATED,
+    collect_symbols,
+    free_variables,
+)
 from formaltrip.verify.verdict import Status
 
 QUICK = ProverBudget(max_clauses=5000, max_seconds=5.0, max_model_domain=3)
@@ -177,6 +184,61 @@ def test_distinct_constants_distinguished():
     assert model is not None
     assert model.domain_size == 2
     assert independent_eval(f, model) != independent_eval(g, model)
+
+
+def enumerated_countermodel(f, g, domain_sizes):
+    """The first countermodel in search order, one candidate at a time: per
+    domain size, constant assignments canonical up to domain permutation in
+    lexicographic order, then every choice of relations, the last predicate
+    slot varying fastest and tuple i of a slot bit i of its mask."""
+    consts_f, preds_f = collect_symbols(f)
+    consts_g, preds_g = collect_symbols(g)
+    slots = sorted(set(preds_f.items()) | set(preds_g.items()))
+    constants = sorted(consts_f | consts_g | set(free_variables(f)) | set(free_variables(g)))
+    for k in domain_sizes:
+        spaces = [list(itertools.product(range(k), repeat=arity)) for _, arity in slots]
+        for values in itertools.product(range(k), repeat=len(constants)):
+            if any(v > max(values[:i], default=-1) + 1 for i, v in enumerate(values)):
+                continue
+            for masks in itertools.product(*[range(1 << len(space)) for space in spaces]):
+                relations = {}
+                for (name, _), space, mask in zip(slots, spaces, masks):
+                    chosen = frozenset(t for i, t in enumerate(space) if mask >> i & 1)
+                    relations[name] = relations.get(name, frozenset()) | chosen
+                model = FiniteModel(k, dict(zip(constants, values)), relations)
+                if independent_eval(f, model) != independent_eval(g, model):
+                    return model
+    return None
+
+
+def _differential_pairs():
+    rng = random.Random(31)
+    pairs = []
+    for _ in range(40):
+        f = random_fol(rng, 2)
+        pairs.append((f, random_fol(rng, 2)))
+        # no countermodel: the same formula under a double negation
+        pairs.append((f, FolFormula(f.prefix, Not(Not(f.matrix)))))
+        # the same matrix under other quantifiers: some differ only at size 2
+        flipped = tuple(("exists" if kind == "forall" else "forall", names) for kind, names in f.prefix)
+        pairs.append((f, FolFormula(flipped, f.matrix)))
+    return pairs
+
+
+@pytest.mark.parametrize("block_limit", [None, 3])
+def test_countermodel_search_matches_enumeration(block_limit, monkeypatch):
+    # a limit of 3 splits every table past 3 ground atoms into blocks of 8 rows
+    if block_limit is not None:
+        monkeypatch.setattr("formaltrip.verify.prop.EXHAUSTIVE_LIMIT", block_limit)
+    budget = ProverBudget(max_seconds=60.0, max_model_domain=2)
+    outcomes = set()
+    for f, g in _differential_pairs():
+        model = find_countermodel(f, g, budget)
+        assert model == enumerated_countermodel(f, g, (1, 2))
+        outcomes.add(None if model is None else model.domain_size)
+        if model is not None:
+            assert eval_in_model(f, model) != eval_in_model(g, model)
+    assert outcomes == {None, 1, 2}
 
 
 # --- the identity suites --------------------------------------------------------

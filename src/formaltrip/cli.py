@@ -11,7 +11,7 @@ import glob
 import json
 import logging
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import report as report_mod
@@ -261,26 +261,28 @@ def _effective_run_config(provider_config: ProviderConfig, shots: int, budget: P
             "seed": provider_config.seed,
         },
         "shots": shots,
-        "budgets": {
-            "max_clauses": budget.max_clauses,
-            "max_seconds": budget.max_seconds,
-            "max_model_domain": budget.max_model_domain,
-        },
+        "budgets": asdict(budget),
     }
+
+
+def _open_provider(args, config: dict, budget: ProverBudget, shots: int) -> tuple[Provider, Path, dict]:
+    """A provider whose reply cache lives in the output directory, that
+    directory, and the run config that results headers hash. The directory
+    is created only once the provider config is valid."""
+    provider_config = _provider_config(args, config)
+    out_dir = Path(args.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    provider = Provider(provider_config, cache=ResponseCache(out_dir / "response_cache.jsonl"), budget=budget)
+    return provider, out_dir, _effective_run_config(provider_config, shots, budget)
 
 
 def cmd_run(args) -> int:
     config = _load_config(args)
-    provider_config = _provider_config(args, config)
     budget = _budget(config)
     width = config.get("concurrency", 1) if args.width is None else args.width
     if width < 1:
         raise ValueError(f"--width must be at least 1, not {width}")
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cache = ResponseCache(out_dir / "response_cache.jsonl")
-    provider = Provider(provider_config, cache=cache, budget=budget)
-    effective = _effective_run_config(provider_config, args.shots, budget)
+    provider, out_dir, effective = _open_provider(args, config, budget, args.shots)
 
     for dataset_path in _expand_paths(args.dataset):
         records = storage.read_dataset(dataset_path)
@@ -288,7 +290,7 @@ def cmd_run(args) -> int:
             raise ValueError(f"{dataset_path} holds no records")
         templates = load_template_set(records[0].formalism, args.shots)
         header = storage.result_header(
-            provider_config.model, effective, dataset_path, provider_config.deterministic
+            provider.config.model, effective, dataset_path, provider.config.deterministic
         )
         result_path = out_dir / f"results_{dataset_path.stem}.jsonl"
         with storage.ResultWriter(result_path, header, resume=args.resume) as writer:
@@ -308,14 +310,9 @@ def cmd_run(args) -> int:
 
 def cmd_judge(args) -> int:
     config = _load_config(args)
-    provider_config = _provider_config(args, config)
     budget = _budget(config)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cache = ResponseCache(out_dir / "response_cache.jsonl")
-    provider = Provider(provider_config, cache=cache, budget=budget)
+    provider, out_dir, effective = _open_provider(args, config, budget, 0)
     style = JUDGE_COT if args.style == "cot" else JUDGE_YESNO
-    effective = _effective_run_config(provider_config, 0, budget)
     effective["judge_style"] = style
 
     for result_path in _expand_paths(args.results):
@@ -333,7 +330,7 @@ def cmd_judge(args) -> int:
             raise ValueError(f"{result_path} holds no judgeable pairs")
         template = load_template(pairs[0][1], style)
         header = storage.result_header(
-            provider_config.model, effective, result_path, provider_config.deterministic
+            provider.config.model, effective, result_path, provider.config.deterministic
         )
         judge_path = out_dir / f"judge_{result_path.stem.removeprefix('results_')}.jsonl"
         with storage.ResultWriter(judge_path, header, resume=args.resume) as writer:

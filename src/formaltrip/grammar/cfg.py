@@ -151,47 +151,37 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d|\S")
 
 def tokenize_for(grammar: GrammarSpec, text: str) -> list[str]:
     """Split text into grammar symbols, mapping instantiated vocabulary back
-    to the placeholder terminals (identifiers -> v/p/f, digits -> Σ)."""
+    to the grammar's placeholder terminals by its formalism: identifiers to
+    v or p (prop), f or p (fol), digits to Σ (regex)."""
     raw = _IDENT.findall(text)
+    try:
+        formalism = infer_formalism(grammar)
+    except ValueError:  # no placeholders: every token stands for itself
+        return raw
     known = grammar.nonterminals | grammar.terminals
     out: list[str] = []
     i = 0
     while i < len(raw):
         tok = raw[i]
+        i += 1
         if tok in known:
             out.append(tok)
-            i += 1
-            continue
-        if grammar.id in ("ksat3", "prop"):
-            out.append("v")
-            i += 1
-        elif grammar.id == "fol":
-            if out and out[-1] in ("∀", "∃"):
-                out.append("f")
-                i += 1
-            elif i + 1 < len(raw) and raw[i + 1] == "(":
-                # grounded predicate: consume through the matching ')'
-                j = i + 1
-                depth = 0
-                while j < len(raw):
-                    if raw[j] == "(":
-                        depth += 1
-                    elif raw[j] == ")":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    j += 1
-                out.append("p")
-                i = j + 1
-            else:
-                out.append("p")
-                i += 1
-        elif grammar.id == "regex":
+        elif formalism == "regex":
             out.append("Σ")
-            i += 1
+        elif formalism == "prop":
+            out.append("v" if "v" in grammar.terminals else "p")
+        elif out and out[-1] in ("∀", "∃"):
+            out.append("f")
         else:
-            out.append(tok)
-            i += 1
+            if i < len(raw) and raw[i] == "(":
+                # grounded predicate: consume through the matching ')'
+                depth = 0
+                while i < len(raw):
+                    depth += {"(": 1, ")": -1}.get(raw[i], 0)
+                    i += 1
+                    if depth == 0:
+                        break
+            out.append("p")
     return out
 
 

@@ -110,10 +110,7 @@ def generate_dataset(
 
     if metric in PRE_INSTANTIATION_METRICS:
         def on_leaf(leaf: DerivationNode):
-            value = leaf_metric_value(leaf, metric)
-            # a parent-less copy, so a kept leaf does not hold its derivation chain
-            kept = DerivationNode(leaf.sentential_form, leaf.depth)
-            _reservoir_add(reservoirs, available, value, kept, quota, rng)
+            _reservoir_add(reservoirs, available, leaf_metric_value(leaf, metric), leaf, quota, rng)
     else:
         def on_leaf(leaf: DerivationNode):
             expr = instantiate(leaf, realized, vocab_config, rng, formalism)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cfg import GrammarSpec
 
@@ -47,16 +47,14 @@ class GenerationConfig:
 class DerivationNode:
     sentential_form: tuple[str, ...]
     depth: int
-    applied_rules: tuple[int, ...] | None = None
-    parent: "DerivationNode | None" = field(default=None, repr=False)
 
     @property
     def text(self) -> str:
         return " ".join(self.sentential_form)
 
 
-# one way to rewrite a nonterminal: (rule index, right-hand side, nonterminals in it)
-Option = tuple[int, tuple[str, ...], int]
+# one way to rewrite a nonterminal: (right-hand side, nonterminals in it)
+Option = tuple[tuple[str, ...], int]
 
 
 def grow_tree(
@@ -70,8 +68,8 @@ def grow_tree(
     """
     nonterminals = grammar.nonterminals
     options: dict[str, list[Option]] = {nt: [] for nt in nonterminals}
-    for i, (lhs, rhs) in enumerate(grammar.rules):
-        options[lhs].append((i, rhs, sum(sym in nonterminals for sym in rhs)))
+    for lhs, rhs in grammar.rules:
+        options[lhs].append((rhs, sum(sym in nonterminals for sym in rhs)))
 
     level = [DerivationNode((grammar.start,), 0)]
     leaves: list[DerivationNode] | None = [] if on_leaf is None else None
@@ -84,7 +82,7 @@ def grow_tree(
             positions = [i for i, sym in enumerate(form) if sym in nonterminals]
             # draw every combo before emitting any leaf: on_leaf may draw from rng
             for combo in _combos([options[form[i]] for i in positions], config.branching, rng):
-                if any(opt[2] for opt in combo):
+                if any(opt[1] for opt in combo):
                     pending.append((node, positions, combo))
                     continue
                 reached += 1
@@ -123,14 +121,9 @@ def _build(parent: DerivationNode, positions: list[int], combo: tuple[Option, ..
     form = parent.sentential_form
     new_form: list[str] = []
     cursor = 0
-    for pos, (_, rhs, _) in zip(positions, combo):
+    for pos, (rhs, _) in zip(positions, combo):
         new_form.extend(form[cursor:pos])
         new_form.extend(rhs)
         cursor = pos + 1
     new_form.extend(form[cursor:])
-    return DerivationNode(
-        tuple(new_form),
-        parent.depth + 1,
-        applied_rules=tuple(opt[0] for opt in combo),
-        parent=parent,
-    )
+    return DerivationNode(tuple(new_form), parent.depth + 1)

@@ -13,7 +13,7 @@ quantifier of random kind is prepended once, unless that would exceed
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..syntax import FormalExpression, parse_expression
 from . import words
@@ -39,8 +39,6 @@ class VocabularyConfig:
     max_free_variables: int | None = None  # None = unbounded
     alphabet_size: int = 2
     naming_mode: str = SYNTHETIC
-    predicate_words: tuple[str, ...] = field(default=words.VERBS, repr=False)
-    object_words: tuple[str, ...] = field(default=words.NAMES, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.free_variable_prob <= 1.0:
@@ -74,12 +72,12 @@ class RealizedVocabulary:
 def realize_vocabulary(config: VocabularyConfig, rng: random.Random) -> RealizedVocabulary:
     propositions = tuple(f"p{i}" for i in range(1, config.num_propositions + 1))
     if config.naming_mode == ENGLISH:
-        if config.num_predicates > len(config.predicate_words):
+        if config.num_predicates > len(words.VERBS):
             raise VocabularyExhausted("not enough predicate words")
-        if config.num_objects > len(config.object_words):
+        if config.num_objects > len(words.NAMES):
             raise VocabularyExhausted("not enough object words")
-        predicate_names = tuple(rng.sample(config.predicate_words, config.num_predicates))
-        objects = tuple(rng.sample(config.object_words, config.num_objects))
+        predicate_names = tuple(rng.sample(words.VERBS, config.num_predicates))
+        objects = tuple(rng.sample(words.NAMES, config.num_objects))
     else:
         predicate_names = tuple(f"pred{i}" for i in range(1, config.num_predicates + 1))
         objects = tuple(f"p{i}" for i in range(1, config.num_objects + 1))
@@ -122,7 +120,7 @@ def instantiate(
 
 def _instantiate_fol(form, realized, config, rng: random.Random) -> str:
     out: list[str] = []
-    frames: list[dict] = []  # one per open '(' ; quantifier frames hold their variable
+    frames: list[str | None] = []  # one per open '(': the variable it binds, if any
     in_scope: list[str] = []
     var_count = 0
     prepend: list[str] | None = None  # [glyph, name] once a scope-less slot triggers
@@ -132,26 +130,19 @@ def _instantiate_fol(form, realized, config, rng: random.Random) -> str:
         var_count += 1
         return f"x{var_count}"
 
-    def unique_vars() -> int:
-        return var_count
-
     for sym in form:
         if sym == "(":
-            frames.append({})
+            frames.append(None)
             out.append(sym)
         elif sym == ")":
-            frame = frames.pop()
-            if "var" in frame:
-                in_scope.remove(frame["var"])
-            out.append(sym)
-        elif sym in ("∀", "∃"):
-            if frames:
-                frames[-1]["quant"] = sym
+            bound = frames.pop()
+            if bound is not None:
+                in_scope.remove(bound)
             out.append(sym)
         elif sym == "f":
             name = fresh_var()
             if frames:
-                frames[-1]["var"] = name
+                frames[-1] = name
             in_scope.append(name)
             out.append(name)
         elif sym == "v":
@@ -167,7 +158,7 @@ def _instantiate_fol(form, realized, config, rng: random.Random) -> str:
                 elif use_var and prepend is None:
                     if (
                         config.max_free_variables is not None
-                        and unique_vars() + 1 > config.max_free_variables
+                        and var_count + 1 > config.max_free_variables
                     ):
                         args.append(rng.choice(realized.objects))
                     else:

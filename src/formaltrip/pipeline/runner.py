@@ -214,7 +214,9 @@ def run_round_trips(
     """Execute round trips, emitting results in dataset order.
 
     With width > 1 completions run concurrently but results are still
-    delivered (and written by on_record) in submission order.
+    delivered (and written by on_record) in submission order. If delivery
+    fails or is interrupted, the records not yet started are cancelled and
+    only those already in flight finish.
     """
     todo = [r for r in records if not skip_ids or r.id not in skip_ids]
     results: list[RoundTripRecord] = []
@@ -230,9 +232,13 @@ def run_round_trips(
             pool.submit(round_trip, record, provider, templates, budget)
             for record in todo
         ]
-        for future in futures:
-            result = future.result()
-            results.append(result)
-            if on_record:
-                on_record(result)
+        try:
+            for future in futures:
+                result = future.result()
+                results.append(result)
+                if on_record:
+                    on_record(result)
+        except BaseException:  # Ctrl-C or a failed write: send no more requests
+            pool.shutdown(cancel_futures=True)
+            raise
     return results

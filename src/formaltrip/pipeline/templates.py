@@ -61,14 +61,12 @@ def load_template(formalism: str, direction: str, shot_count: int = 0) -> Prompt
 class TemplateSet:
     interpret: PromptTemplate
     compile: PromptTemplate
-    judge: PromptTemplate
 
 
-def load_template_set(formalism: str, shots: int = 0, judge_style: str = JUDGE_COT) -> TemplateSet:
+def load_template_set(formalism: str, shots: int = 0) -> TemplateSet:
     return TemplateSet(
         interpret=load_template(formalism, INTERPRET, shots),
         compile=load_template(formalism, COMPILE, shots),
-        judge=load_template(formalism, judge_style),
     )
 
 

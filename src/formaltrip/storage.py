@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -66,35 +66,14 @@ def file_sha256(path: str | Path) -> str:
 # dataset files
 
 def dataset_record_to_json(record: DatasetRecord) -> dict:
-    return {
-        "id": record.id,
-        "formalism": record.formalism,
-        "grammar_id": record.grammar_id,
-        "batch_index": record.batch_index,
-        "category_metric": record.category_metric,
-        "category_value": record.category_value,
-        "expression": record.expression.canonical_text,
-        "cfg_depth": record.cfg_depth,
-        "vocabulary": record.vocabulary,
-        "seed": record.seed,
-    }
+    return {**vars(record), "expression": record.expression.canonical_text}
 
 
 def dataset_record_from_json(row: dict) -> DatasetRecord:
-    alphabet = set(row.get("vocabulary", {}).get("alphabet", ())) or None
-    expr = parse_expression(row["formalism"], row["expression"], alphabet)
-    return DatasetRecord(
-        id=row["id"],
-        formalism=row["formalism"],
-        grammar_id=row["grammar_id"],
-        batch_index=row["batch_index"],
-        category_metric=row["category_metric"],
-        category_value=row["category_value"],
-        expression=expr,
-        cfg_depth=row["cfg_depth"],
-        vocabulary=row["vocabulary"],
-        seed=row["seed"],
-    )
+    values = {f.name: row[f.name] for f in fields(DatasetRecord)}
+    alphabet = set(values["vocabulary"].get("alphabet", ())) or None
+    values["expression"] = parse_expression(values["formalism"], values["expression"], alphabet)
+    return DatasetRecord(**values)
 
 
 def dataset_file_name(grammar_id: str, metric: str, batch: int) -> str:
@@ -151,25 +130,11 @@ def result_header(
 
 
 def round_trip_to_json(record: RoundTripRecord) -> dict:
-    row = asdict(record)
-    row["kind"] = "round_trip"
-    return row
-
-
-def round_trip_from_json(row: dict) -> RoundTripRecord:
-    row = {k: v for k, v in row.items() if k != "kind"}
-    return RoundTripRecord(**row)
+    return {**asdict(record), "kind": "round_trip"}
 
 
 def judge_to_json(record: JudgeRecord) -> dict:
-    row = asdict(record)
-    row["kind"] = "judge"
-    return row
-
-
-def judge_from_json(row: dict) -> JudgeRecord:
-    row = {k: v for k, v in row.items() if k != "kind"}
-    return JudgeRecord(**row)
+    return {**asdict(record), "kind": "judge"}
 
 
 class ResultWriter:
@@ -213,15 +178,16 @@ class ResultWriter:
         self.close()
 
 
-def read_results(path: str | Path) -> tuple[dict, list[RoundTripRecord]]:
+def _read_records(path: str | Path, cls) -> tuple[dict, list]:
     rows = read_jsonl(path)
     if not rows or rows[0].get("kind") != "header":
         raise ValueError(f"{path} is not a result file (missing header)")
-    return rows[0], [round_trip_from_json(r) for r in rows[1:]]
+    return rows[0], [cls(**{k: v for k, v in r.items() if k != "kind"}) for r in rows[1:]]
+
+
+def read_results(path: str | Path) -> tuple[dict, list[RoundTripRecord]]:
+    return _read_records(path, RoundTripRecord)
 
 
 def read_judge_results(path: str | Path) -> tuple[dict, list[JudgeRecord]]:
-    rows = read_jsonl(path)
-    if not rows or rows[0].get("kind") != "header":
-        raise ValueError(f"{path} is not a result file (missing header)")
-    return rows[0], [judge_from_json(r) for r in rows[1:]]
+    return _read_records(path, JudgeRecord)

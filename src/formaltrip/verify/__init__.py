@@ -13,7 +13,6 @@ from .fol import (
 from .prop import Assignment, MissingVariable, equivalent_prop, eval_prop
 from .regex import (
     AlphabetMismatch,
-    CanonicalDfa,
     Dfa,
     DfaMetrics,
     Nfa,
@@ -28,7 +27,7 @@ from .regex import (
 from .verdict import EquivalenceVerdict, Status, equivalent, not_equivalent, unknown
 
 __all__ = [
-    "AlphabetMismatch", "Assignment", "CanonicalDfa", "Dfa", "DfaMetrics",
+    "AlphabetMismatch", "Assignment", "Dfa", "DfaMetrics",
     "EquivalenceVerdict", "FiniteModel", "MissingVariable", "Nfa",
     "ProverBudget", "Status", "clausify", "compile_regex",
     "determinize_minimize", "dfa_metrics", "equivalent", "equivalent_fol",

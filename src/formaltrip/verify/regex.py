@@ -6,7 +6,8 @@ Equivalence is a breadth-first search over the product of the two DFAs,
 symbols in ascending order: the first state pair where exactly one side
 accepts gives the shortlex-least word in the symmetric difference, and
 none means the languages are equal. The DFA metrics use canonical minimal
-DFAs: partition-refinement minimization, then breadth-first renumbering.
+DFAs: Moore partition refinement, the blocks numbered breadth-first from
+the start block in the same pass.
 """
 
 from __future__ import annotations
@@ -47,9 +48,6 @@ class Dfa:
         for ch in word:
             state = self.transitions[state][index[ch]]
         return state in self.accepting
-
-
-CanonicalDfa = Dfa  # produced by determinize_minimize: minimal, BFS-numbered
 
 
 @dataclass
@@ -142,12 +140,10 @@ def nfa_accepts(nfa: Nfa, word: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# determinization, completion, minimization, canonical numbering
+# determinization and canonical minimization
 
-def determinize_minimize(nfa: Nfa) -> CanonicalDfa:
-    dfa = _determinize(nfa)
-    dfa = _minimize(dfa)
-    return _bfs_renumber(dfa)
+def determinize_minimize(nfa: Nfa) -> Dfa:
+    return _minimize(_determinize(nfa))
 
 
 def _determinize(nfa: Nfa) -> Dfa:
@@ -211,82 +207,42 @@ def _determinize(nfa: Nfa) -> Dfa:
 
 
 def _minimize(dfa: Dfa) -> Dfa:
-    # only states reachable from the start participate
-    reachable = _reachable(dfa)
-    # Moore-style partition refinement starting from accepting/rejecting
-    block: dict[int, int] = {
-        s: (0 if s in dfa.accepting else 1) for s in reachable
-    }
-    n_symbols = len(dfa.alphabet)
+    """The minimal DFA, its states numbered breadth-first from the start,
+    symbols in alphabet order. Moore refinement starts from accepting versus
+    rejecting; every state of a subset-construction DFA is reachable."""
+    block = [0 if s in dfa.accepting else 1 for s in range(dfa.n_states)]
+    n_blocks = len(set(block))
     while True:
-        signatures: dict[tuple, list[int]] = {}
-        for s in reachable:
-            sig = (block[s],) + tuple(
-                block[dfa.transitions[s][a]] for a in range(n_symbols)
-            )
-            signatures.setdefault(sig, []).append(s)
-        if len(signatures) == len(set(block.values())):
+        signatures: dict[tuple, int] = {}
+        block = [
+            signatures.setdefault((block[s],) + tuple(block[t] for t in row), len(signatures))
+            for s, row in enumerate(dfa.transitions)
+        ]
+        if len(signatures) == n_blocks:
             break
-        for new_id, members in enumerate(signatures.values()):
-            for s in members:
-                block[s] = new_id
-    ids = sorted(set(block.values()))
-    remap = {old: new for new, old in enumerate(ids)}
-    representatives: dict[int, int] = {}
-    for s in reachable:
-        representatives.setdefault(remap[block[s]], s)
+        n_blocks = len(signatures)
+    representative = {b: s for s, b in enumerate(block)}  # any member: blocks are stable
+    number = {block[dfa.start]: 0}
+    queue = deque([block[dfa.start]])
     rows = []
-    for new_id in range(len(ids)):
-        rep = representatives[new_id]
-        rows.append(
-            tuple(remap[block[dfa.transitions[rep][a]]] for a in range(n_symbols))
-        )
-    return Dfa(
-        n_states=len(ids),
-        alphabet=dfa.alphabet,
-        transitions=tuple(rows),
-        start=remap[block[dfa.start]],
-        accepting=frozenset(
-            remap[block[s]] for s in reachable if s in dfa.accepting
-        ),
-    )
-
-
-def _reachable(dfa: Dfa) -> list[int]:
-    seen = {dfa.start}
-    queue = deque([dfa.start])
     while queue:
-        s = queue.popleft()
-        for t in dfa.transitions[s]:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return sorted(seen)
-
-
-def _bfs_renumber(dfa: Dfa) -> Dfa:
-    order: dict[int, int] = {dfa.start: 0}
-    queue = deque([dfa.start])
-    while queue:
-        s = queue.popleft()
-        for a in range(len(dfa.alphabet)):
-            t = dfa.transitions[s][a]
-            if t not in order:
-                order[t] = len(order)
-                queue.append(t)
-    rows: list[tuple[int, ...]] = [()] * len(order)
-    for old, new in order.items():
-        rows[new] = tuple(order[t] for t in dfa.transitions[old])
+        row = []
+        for t in dfa.transitions[representative[queue.popleft()]]:
+            if block[t] not in number:
+                number[block[t]] = len(number)
+                queue.append(block[t])
+            row.append(number[block[t]])
+        rows.append(tuple(row))
     return Dfa(
-        n_states=len(order),
+        n_states=len(rows),
         alphabet=dfa.alphabet,
         transitions=tuple(rows),
         start=0,
-        accepting=frozenset(order[s] for s in dfa.accepting if s in order),
+        accepting=frozenset(number[block[s]] for s in dfa.accepting),
     )
 
 
-def compile_regex(regex: RegexAst, alphabet) -> CanonicalDfa:
+def compile_regex(regex: RegexAst, alphabet) -> Dfa:
     return determinize_minimize(to_nfa(regex, alphabet))
 
 
@@ -330,7 +286,7 @@ def _shortest_difference(d1: Dfa, d2: Dfa) -> str | None:
     return None
 
 
-def dfa_metrics(dfa: CanonicalDfa) -> DfaMetrics:
+def dfa_metrics(dfa: Dfa) -> DfaMetrics:
     edges = {
         (s, dfa.transitions[s][a])
         for s in range(dfa.n_states)

@@ -37,6 +37,27 @@ def test_generate_writes_batches_and_manifest(dataset_dir):
     assert manifest["total"] > 0
 
 
+@pytest.mark.parametrize(
+    "budget,expected",
+    [
+        ({}, "473589cb74c37ffb8f31ea0614f65ecc3826cd7d36f095e7326315c94aa9c59e"),
+        ({"max_clauses": 1000, "max_model_domain": 1},
+         "80877394af81982f17ff88305642db90f4b144d38670739601fdcbc492a044e5"),
+    ],
+    ids=["default", "benchmark"],
+)
+def test_results_header_config_hash_is_pinned(budget, expected):
+    """A new ProverBudget or ProviderConfig field must not silently change
+    the config_hash that results headers carry and --resume compares."""
+    from formaltrip import storage
+    from formaltrip.cli import _effective_run_config
+    from formaltrip.pipeline import ProviderConfig
+    from formaltrip.verify import ProverBudget
+
+    config = _effective_run_config(ProviderConfig(), 0, ProverBudget(**budget))
+    assert storage.config_hash(config) == expected
+
+
 def test_generate_is_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -266,6 +287,18 @@ def test_malformed_config_is_an_error(dataset_dir, tmp_path, capsys, config, nam
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_judge_with_an_unknown_provider_creates_no_output(tmp_path, capsys):
+    code = run_cli(
+        "judge", "--provider", "nonsense", "--results", tmp_path / "results_x.jsonl",
+        "--output-dir", tmp_path / "judge",
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and "'nonsense'" in err
+    assert not (tmp_path / "judge").exists()
 
 
 @pytest.mark.parametrize("width", [0, -1])

@@ -186,6 +186,33 @@ def test_distinct_constants_distinguished():
     assert independent_eval(f, model) != independent_eval(g, model)
 
 
+def test_countermodel_search_gives_up_when_its_clock_has_run_out():
+    f, g = parse_fol("pred1(a)"), parse_fol("pred1(b)")
+    expired = ProverBudget(max_clauses=5000, max_seconds=-1.0, max_model_domain=2)
+    assert find_countermodel(f, g, expired) is None
+
+
+# true only with three elements told apart by pred1/pred2; the right side never holds
+THREE_KINDS = (
+    "(∃x. (pred1(x) ∧ pred2(x))) ∧ (∃y. (pred1(y) ∧ ¬pred2(y))) ∧ (∃z. ¬pred1(z))",
+    "∃x. (pred1(x) ∧ ¬pred1(x))",
+)
+
+
+def test_deeper_countermodel_after_resolution_budget_is_exceeded():
+    from formaltrip.verify.fol import difference_formula
+
+    f, g = map(parse_fol, THREE_KINDS)
+    budget = ProverBudget(max_clauses=1, max_seconds=5.0, max_model_domain=3)
+    assert find_countermodel(f, g, budget, domain_sizes=range(1, 3)) is None
+    assert resolution_refute(clausify(difference_formula(f, g)), budget) == BUDGET_EXCEEDED
+    verdict = equivalent_fol(f, g, budget)
+    assert verdict.status is Status.NOT_EQUIVALENT
+    model = verdict.witness
+    assert model.domain_size == 3
+    assert eval_in_model(f, model) != eval_in_model(g, model)
+
+
 def enumerated_countermodel(f, g, domain_sizes):
     """The first countermodel in search order, one candidate at a time: per
     domain size, constant assignments canonical up to domain permutation in

@@ -93,17 +93,6 @@ def test_empty_frontier_raises():
         grow_tree(loop, cfg(4), random.Random(0))
 
 
-def test_node_depth_tracks_levels():
-    leaves = grow_tree(PROP, cfg(5), random.Random(5))
-    for leaf in leaves:
-        depth = 0
-        node = leaf
-        while node.parent is not None:
-            node = node.parent
-            depth += 1
-        assert depth == leaf.depth
-
-
 # --- recognition ---------------------------------------------------------------
 
 def test_sentential_form_with_nonterminals():
@@ -125,3 +114,25 @@ def test_instantiated_text_deinstantiates():
     assert recognize(KSAT3, "( p5 ∨ ¬ p12 ∨ ¬ p4 )")
     assert recognize(REGEX, "0 1 *")
     assert recognize(FOL, "( ∀ x1 . pred3 ( p5 , x1 ) )")
+
+
+def _custom_copy(grammar):
+    text = "\n".join(f"{lhs} -> {' '.join(rhs) or 'ε'}" for lhs, rhs in grammar.rules)
+    return load_grammar(text, f"custom_{grammar.id}")
+
+
+@pytest.mark.parametrize(
+    "grammar,text",
+    [
+        (KSAT3, "( p5 ∨ ¬ p12 ∨ ¬ p4 )"),
+        (PROP, "( p1 ∨ ¬ p2 )"),
+        (REGEX, "0 1 *"),
+        (FOL, "( ∀ x1 . pred3 ( p5 , x1 ) )"),
+    ],
+    ids=["ksat3", "prop", "regex", "fol"],
+)
+def test_custom_grammar_recognizes_instantiated_text(grammar, text):
+    custom = _custom_copy(grammar)
+    assert custom.rules == grammar.rules and custom.id not in BUILTIN_GRAMMARS
+    assert recognize(custom, text)
+    assert not recognize(custom, text + " )")

@@ -145,6 +145,55 @@ def test_concurrent_results_keep_dataset_order():
     assert [r.record_id for r in sequential] == [r.record_id for r in concurrent]
 
 
+def test_concurrent_on_record_sees_dataset_order():
+    records = dataset()
+    templates = load_template_set("prop", 0)
+    delivered = []
+    results = run_round_trips(records, oracle(), templates, width=2, on_record=delivered.append)
+    assert [r.record_id for r in delivered] == [r.id for r in records]
+    assert delivered == results
+
+
+@pytest.mark.parametrize("failure", [OSError, KeyboardInterrupt])
+def test_concurrent_run_stops_after_records_in_flight(monkeypatch, failure):
+    """A failed write or Ctrl-C while delivering the first result cancels
+    every record not yet started. Records after the first wait on
+    `released`, which the pool sets only once it is shut down, so the count
+    does not depend on timing."""
+    import threading
+
+    from formaltrip.pipeline import runner
+
+    released = threading.Event()
+    done = []
+    real_round_trip = runner.round_trip
+
+    class Pool(runner.ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            released.set()
+            super().shutdown(wait=wait)
+
+    def gated_round_trip(record, *args):
+        if record is not records[0]:
+            released.wait(10)
+        done.append(real_round_trip(record, *args))
+        return done[-1]
+
+    def fail(result):
+        raise failure("stop")
+
+    monkeypatch.setattr(runner, "round_trip", gated_round_trip)
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", Pool)
+    records = dataset()[:20]
+    width = 2
+    with pytest.raises(failure):
+        run_round_trips(records, oracle(), load_template_set("prop", 0), width=width, on_record=fail)
+    assert len(records) == 20
+    # the first record, and at most one record in flight per worker
+    assert 1 <= len(done) <= 1 + width
+
+
 def test_verifier_exception_is_an_error_on_its_record(monkeypatch):
     from formaltrip import storage
     from formaltrip.pipeline import runner

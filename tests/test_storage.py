@@ -1,6 +1,7 @@
 import json
+from dataclasses import fields
 
-from formaltrip.grammar import PROP, GenerationConfig, VocabularyConfig, generate_dataset
+from formaltrip.grammar import PROP, DatasetRecord, GenerationConfig, VocabularyConfig, generate_dataset
 from formaltrip.pipeline import Provider, ProviderConfig, load_template_set, run_round_trips
 from formaltrip.pipeline.runner import JudgeRecord
 from formaltrip import storage
@@ -27,9 +28,12 @@ def test_dataset_round_trips_through_files(tmp_path):
     assert len(by_id) == len(records)
     for original in records:
         clone = by_id[original.id]
-        assert clone.expression.ast == original.expression.ast
-        assert clone.category_value == original.category_value
-        assert clone.vocabulary == original.vocabulary
+        for f in fields(DatasetRecord):
+            if f.name == "expression":
+                assert clone.expression.canonical_text == original.expression.canonical_text
+                assert clone.expression.ast == original.expression.ast
+            else:
+                assert getattr(clone, f.name) == getattr(original, f.name), f.name
 
 
 def test_manifest_contents(tmp_path):

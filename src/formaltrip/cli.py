@@ -18,11 +18,10 @@ from . import report as report_mod
 from . import storage
 from .grammar import (
     BUILTIN_GRAMMARS,
-    DFA_METRICS,
-    GRAMMAR_FORMALISM,
     GenerationConfig,
     VocabularyConfig,
     generate_dataset,
+    infer_formalism,
     load_grammar,
 )
 from .metrics import MetricsError
@@ -230,8 +229,7 @@ def cmd_generate(args) -> int:
     else:
         grammar = load_grammar(Path(name).read_text(encoding="utf-8"), Path(name).stem)
         vocab = VocabularyConfig(**vocab_kwargs)
-    formalism = GRAMMAR_FORMALISM.get(grammar.id, grammar.id)
-    metric = args.metric or ("cfg_depth" if formalism == "regex" else "operator_total")
+    metric = args.metric or ("cfg_depth" if infer_formalism(grammar) == "regex" else "operator_total")
     gen = GenerationConfig(
         depth=args.depth,
         branching=args.branching,

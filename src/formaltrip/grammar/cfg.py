@@ -128,9 +128,8 @@ GRAMMAR_FORMALISM = {"ksat3": "prop", "prop": "prop", "fol": "fol", "regex": "re
 
 
 def infer_formalism(grammar: GrammarSpec) -> str:
-    """Map a user-supplied grammar to a formalism by its placeholder terminals."""
-    if grammar.id in GRAMMAR_FORMALISM:
-        return GRAMMAR_FORMALISM[grammar.id]
+    """Map a grammar to a formalism by its placeholder terminals, never by
+    its id: a rule file's name says nothing about what its rules derive."""
     if "Σ" in grammar.terminals:
         return "regex"
     if {"∀", "∃"} & grammar.terminals or "f" in grammar.terminals:

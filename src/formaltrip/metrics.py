@@ -117,10 +117,11 @@ def unknown_rate(records: list[RoundTripRecord]) -> float:
     return sum(1 for r in scored if r.verdict_status == "unknown") / len(scored)
 
 
-def accuracy_excluding_unknown(records: list[RoundTripRecord]) -> float:
+def accuracy_excluding_unknown(records: list[RoundTripRecord]) -> float | None:
+    """None when no scoreable record has a decided verdict."""
     scored = [r for r in _scoreable(records) if r.verdict_status != "unknown"]
     if not scored:
-        raise MetricsError("no scoreable records")
+        return None
     return sum(1 for r in scored if r.verdict_status == "equivalent") / len(scored)
 
 

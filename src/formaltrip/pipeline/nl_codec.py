@@ -15,7 +15,6 @@ from ..syntax.nodes import (
     Atom,
     Concat,
     Constant,
-    FolFormula,
     FormalExpression,
     Literal,
     Not,
@@ -45,10 +44,8 @@ def describe(expr: FormalExpression) -> str:
 def parse_description(text: str, formalism: str) -> FormalExpression:
     tokens = _tokenize(text)
     parser = _Parser(tokens)
-    if formalism == "prop":
+    if formalism == "prop" or formalism == "fol":
         ast = parser.logic()
-    elif formalism == "fol":
-        ast = FolFormula.from_matrix(parser.logic())
     elif formalism == "regex":
         ast = parser.regex()
     else:
@@ -93,11 +90,13 @@ def _render_quantifier(kind: str, variables) -> str:
     return f"there exists {names} such that "
 
 
-def _render_fol(formula: FolFormula) -> str:
+def _render_fol(node) -> str:
+    """The quantifier chain at the root is rendered without groups."""
     out = ""
-    for kind, names in formula.prefix:
-        out += _render_quantifier(kind, names)
-    return out + f"( {_render_logic(formula.matrix)} )"
+    while type(node) is Quantified:
+        out += _render_quantifier(node.kind, node.variables)
+        node = node.body
+    return out + f"( {_render_logic(node)} )"
 
 
 def _render_regex(node) -> str:
@@ -183,7 +182,7 @@ class _Parser:
         raise NlCodecError(f"unexpected token {tok!r} in logic description")
 
     def _quant_body(self):
-        # prefix-style chains leave inner quantifiers unparenthesized
+        # a root chain leaves its inner quantifiers ungrouped
         if self.peek() == "(":
             return self.group(self.logic)
         return self.logic()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..syntax import And, Not, Or, ParseError, Star, make_expression, parse_expression
-from ..syntax.nodes import FolFormula, FormalExpression, children, rebuild
+from ..syntax.nodes import FormalExpression, Quantified, children, rebuild
 from ..verify import ProverBudget, verify_pair
 from . import nl_codec
 
@@ -389,9 +389,10 @@ def corrupt_expression(expr: FormalExpression, rng: random.Random) -> FormalExpr
     """Flip exactly one operator; falls back to a wrapping when none exists.
 
     A logic formula gets one And/Or swapped, a regex loses one star; the
-    operator is drawn by its rank in pre-order."""
+    operator is drawn by its rank in pre-order. The fallback negates a
+    logic formula below its root chain of quantifiers."""
     regex = expr.formalism == "regex"
-    root = expr.ast.matrix if expr.formalism == "fol" else expr.ast
+    root = expr.ast
     paths = _paths(root, (Star,) if regex else (And, Or))
     if paths:
         path = paths[rng.randrange(len(paths))]
@@ -399,10 +400,13 @@ def corrupt_expression(expr: FormalExpression, rng: random.Random) -> FormalExpr
             new_root = _replace_at(root, path, lambda star: star.child)
         else:
             new_root = _replace_at(root, path, lambda n: (Or if type(n) is And else And)(n.children))
+    elif regex:
+        new_root = Star(root)
     else:
-        new_root = Star(root) if regex else Not(root)
-    if expr.formalism == "fol":
-        new_root = FolFormula(expr.ast.prefix, new_root)
+        chain, node = (), root
+        while type(node) is Quantified:
+            chain, node = chain + (0,), node.body
+        new_root = _replace_at(root, chain, Not)
     return make_expression(expr.formalism, new_root)
 
 

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from ..syntax.nodes import Atom, Constant, FolFormula, FormalExpression, Proposition, Quantified, walk
+from ..syntax.nodes import Atom, Constant, FormalExpression, LogicNode, Proposition, Quantified, walk
 
 INTERPRET = "interpret"
 COMPILE = "compile"
@@ -117,15 +117,11 @@ def vocabulary_block(expr: FormalExpression) -> str:
     raise ValueError(f"unknown formalism {expr.formalism!r}")
 
 
-def _fol_symbols(formula: FolFormula):
+def _fol_symbols(formula: LogicNode):
     objects: list[str] = []
     predicates: list[tuple[str, int]] = []
     variables: list[str] = []
-    for _, names in formula.prefix:
-        for v in names:
-            if v not in variables:
-                variables.append(v)
-    for node in walk(formula.matrix):
+    for node in walk(formula):
         t = type(node)
         if t is Atom:
             if (node.predicate, len(node.terms)) not in predicates:

@@ -43,6 +43,7 @@ def summarize_run(
         raise m.MetricsError("no records to summarize")
     overall_compliance, breakdown = m.compliance(all_records)
     overall_accuracy, _ = m.accuracy(all_records)
+    decided_accuracy = m.accuracy_excluding_unknown(all_records)
 
     per_batch = {}
     comp_values, acc_values = [], []
@@ -89,7 +90,7 @@ def summarize_run(
         "category_metric": breakdown.metric,
         "compliance": r4(overall_compliance),
         "accuracy": r4(overall_accuracy),
-        "accuracy_excluding_unknown": r4(m.accuracy_excluding_unknown(all_records)),
+        "accuracy_excluding_unknown": None if decided_accuracy is None else r4(decided_accuracy),
         "accuracy_all_records": r4(m.accuracy_all_records(all_records)),
         "unknown_rate": r4(m.unknown_rate(all_records)),
         "batches": per_batch,

@@ -14,13 +14,11 @@ from .nodes import (
     ComplexityProfile,
     Concat,
     Constant,
-    FolFormula,
     FormalExpression,
     Literal,
     LogicNode,
     Not,
     Or,
-    PropFormula,
     Proposition,
     Quantified,
     RegexAst,
@@ -36,9 +34,9 @@ from .simplify import simplify_expression
 __all__ = [
     "EXISTS", "FOL", "FORALL", "FORMALISMS", "PROP", "REGEX",
     "And", "ArityError", "Atom", "ComplexityProfile", "Concat", "Constant",
-    "FolFormula", "FormalExpression", "Literal", "LogicNode", "NonCompliant",
-    "Not", "Or", "ParseError", "PropFormula", "Proposition", "Quantified",
-    "RegexAst", "Star", "Variable", "canonical_text", "complexity",
+    "FormalExpression", "Literal", "LogicNode", "NonCompliant", "Not", "Or",
+    "ParseError", "Proposition", "Quantified", "RegexAst", "Star",
+    "Variable", "canonical_text", "complexity",
     "extract_formal", "flatten_and", "flatten_or", "make_expression",
     "parse_expression", "parse_fol", "parse_prop", "parse_regex",
     "simplify_expression",

@@ -2,12 +2,13 @@
 
 All nodes are frozen dataclasses so structural equality and hashing come
 for free; children are stored as tuples. Logic connectives (Not/And/Or)
-are shared between propositional and first-order matrices.
+are shared between propositional and first-order formulas; a first-order
+formula is its logic tree, with Quantified nodes for its quantifiers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 FORALL = "forall"
 EXISTS = "exists"
@@ -71,7 +72,8 @@ class Or:
 
 @dataclass(frozen=True)
 class Quantified:
-    """A quantifier block appearing inside a matrix (non-prenex input)."""
+    """One quantifier block over its body. A first-order formula's prefix is
+    the chain of Quantified nodes at its root, one node per block."""
 
     kind: str  # FORALL | EXISTS
     variables: tuple[str, ...]
@@ -79,33 +81,6 @@ class Quantified:
 
 
 LogicNode = Proposition | Atom | Not | And | Or | Quantified
-
-PropFormula = LogicNode  # Proposition leaves, no Atom/Quantified
-
-
-@dataclass(frozen=True)
-class FolFormula:
-    """Quantifier prefix plus matrix.
-
-    Machine-generated formulas are prenex (empty of Quantified nodes in the
-    matrix); parsed LLM output may nest quantifiers, tracked by `prenex`.
-    """
-
-    prefix: tuple[tuple[str, tuple[str, ...]], ...]
-    matrix: LogicNode
-
-    @property
-    def prenex(self) -> bool:
-        return not any(type(node) is Quantified for node in walk(self.matrix))
-
-    @staticmethod
-    def from_matrix(matrix: LogicNode) -> "FolFormula":
-        """Hoist a leading Quantified chain into the prefix."""
-        prefix: list[tuple[str, tuple[str, ...]]] = []
-        while isinstance(matrix, Quantified):
-            prefix.append((matrix.kind, matrix.variables))
-            matrix = matrix.body
-        return FolFormula(prefix=tuple(prefix), matrix=matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +119,7 @@ class FormalExpression:
     """
 
     formalism: str
-    ast: PropFormula | FolFormula | RegexAst
+    ast: LogicNode | RegexAst
     canonical_text: str
 
 
@@ -180,8 +155,6 @@ def children(node) -> tuple:
         return (node.child,)
     if t is Quantified:
         return (node.body,)
-    if t is FolFormula:
-        return (node.matrix,)
     return ()
 
 
@@ -210,8 +183,6 @@ def walk(node):
             push(node.child)
         elif t is Quantified:
             push(node.body)
-        elif t is FolFormula:
-            push(node.matrix)
 
 
 def rebuild(node, kids):
@@ -223,8 +194,6 @@ def rebuild(node, kids):
         return t(kids[0])
     if t is Quantified:
         return Quantified(node.kind, node.variables, kids[0])
-    if t is FolFormula:
-        return FolFormula(node.prefix, kids[0])
     return node
 
 

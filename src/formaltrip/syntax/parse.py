@@ -21,7 +21,6 @@ from .nodes import (
     Atom,
     Concat,
     Constant,
-    FolFormula,
     FormalExpression,
     Literal,
     LogicNode,
@@ -216,7 +215,7 @@ class _LogicParser:
         variables: list[str] = []
         while (tok := toks[self.i])[:1] in _IDENT_START and tok not in _WORD_CLASS:
             # once at least one variable is read, an identifier followed by '('
-            # starts the matrix (a predicate application), e.g. "∀x1 pred3(p5, x1)"
+            # starts the body (a predicate application), e.g. "∀x1 pred3(p5, x1)"
             if variables and toks[self.i + 1] == "(":
                 break
             variables.append(tok)
@@ -267,16 +266,14 @@ def parse_prop(text: str) -> LogicNode:
 # ---------------------------------------------------------------------------
 # first-order logic
 
-def parse_fol(text: str) -> FolFormula:
-    """Parse a first-order formula into prefix + matrix form.
-
-    Leading quantifiers are hoisted into the prefix; nested quantifiers are
-    kept in the matrix and clear the prenex flag. Terms bound by an
-    enclosing quantifier are variables, all others constants.
+def parse_fol(text: str) -> LogicNode:
+    """Parse a first-order formula into its logic tree, quantifiers at any
+    depth as Quantified nodes. Terms bound by an enclosing quantifier are
+    variables, all others constants.
     """
-    formula = FolFormula.from_matrix(_parse_logic(text, fol=True))
+    formula = _parse_logic(text, fol=True)
     seen: dict[str, int] = {}
-    for node in walk(formula.matrix):
+    for node in walk(formula):
         if type(node) is Atom:
             arity = len(node.terms)
             expected = seen.setdefault(node.predicate, arity)

@@ -13,7 +13,6 @@ from .nodes import (
     And,
     Atom,
     Concat,
-    FolFormula,
     FormalExpression,
     Literal,
     LogicNode,
@@ -23,7 +22,6 @@ from .nodes import (
     Quantified,
     RegexAst,
     Star,
-    Variable,
 )
 
 
@@ -51,9 +49,13 @@ def _print_quantifier(kind: str, variables) -> str:
     return glyph + " " + " ".join(variables) + ". "
 
 
-def print_fol(formula: FolFormula) -> str:
-    prefix = "".join(_print_quantifier(k, vs) for k, vs in formula.prefix)
-    return prefix + print_logic(formula.matrix)
+def print_fol(node: LogicNode) -> str:
+    """The quantifier chain at the root is printed without parentheses."""
+    prefix = ""
+    while type(node) is Quantified:
+        prefix += _print_quantifier(node.kind, node.variables)
+        node = node.body
+    return prefix + print_logic(node)
 
 
 def print_regex(node: RegexAst) -> str:

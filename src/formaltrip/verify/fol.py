@@ -25,7 +25,7 @@ from ..syntax.nodes import (
     And,
     Atom,
     Constant,
-    FolFormula,
+    LogicNode,
     Not,
     Or,
     Quantified,
@@ -69,13 +69,10 @@ class FiniteModel:
 # ---------------------------------------------------------------------------
 # closure and symbol collection
 
-def free_variables(formula: FolFormula) -> list[str]:
-    """Variables occurring in the matrix but not bound anywhere, in order."""
-    bound = set()
-    for _, names in formula.prefix:
-        bound.update(names)
+def free_variables(formula: LogicNode) -> list[str]:
+    """Variables occurring outside every quantifier that binds them, in order."""
     out: list[str] = []
-    _collect_free(formula.matrix, bound, out)
+    _collect_free(formula, set(), out)
     return out
 
 
@@ -95,45 +92,36 @@ def _collect_free(node, bound: set[str], out: list[str]):
             _collect_free(child, bound, out)
 
 
-def universal_closure(formula: FolFormula) -> FolFormula:
+def universal_closure(formula: LogicNode) -> LogicNode:
     """Prepend a universal quantifier over any stray free variables."""
     stray = free_variables(formula)
     if not stray:
         return formula
-    return FolFormula(((FORALL, tuple(stray)),) + formula.prefix, formula.matrix)
+    return Quantified(FORALL, tuple(stray), formula)
 
 
-def collect_symbols(formula: FolFormula):
+def collect_symbols(formula: LogicNode):
     """(constants, predicate arities) used by the formula."""
     constants: set[str] = set()
     predicates: dict[str, int] = {}
-    for node in walk(formula.matrix):
+    for node in walk(formula):
         if type(node) is Atom:
             predicates[node.predicate] = len(node.terms)
             constants.update(t.name for t in node.terms if type(t) is Constant)
     return constants, predicates
 
 
-def as_quantified_tree(formula: FolFormula):
-    """Fold the prefix back into the matrix as nested Quantified nodes."""
-    node = formula.matrix
-    for kind, names in reversed(formula.prefix):
-        node = Quantified(kind, names, node)
-    return node
-
-
 # ---------------------------------------------------------------------------
 # clausification
 
-def clausify(formula: FolFormula) -> list[tuple[Literal, ...]]:
+def clausify(formula: LogicNode) -> list[tuple[Literal, ...]]:
     """Equisatisfiable clause set, each clause its distinct literals in
     order. Skolem symbols are fresh per call and never share a name with a
     constant of the formula."""
     constants, _ = collect_symbols(formula)
     skolems = (name for name in map("sk{}".format, itertools.count()) if name not in constants)
-    tree = as_quantified_tree(universal_closure(formula))
     out = []
-    for clause in _cnf(tree, True, {}, (), itertools.count(), skolems):
+    for clause in _cnf(universal_closure(formula), True, {}, (), itertools.count(), skolems):
         c = tuple(dict.fromkeys(clause))
         if not _is_tautology(c):
             out.append(c)
@@ -385,8 +373,8 @@ def resolution_refute(clauses, budget: ProverBudget) -> str:
 # ---------------------------------------------------------------------------
 # finite-model evaluation and search
 
-def eval_in_model(formula: FolFormula, model: FiniteModel) -> bool:
-    return _eval_node(as_quantified_tree(formula), model, {})
+def eval_in_model(formula: LogicNode, model: FiniteModel) -> bool:
+    return _eval_node(formula, model, {})
 
 
 def _eval_node(node, model: FiniteModel, env: dict[str, int]) -> bool:
@@ -441,8 +429,8 @@ def _constant_assignments(names: list[str], k: int):
 
 
 def find_countermodel(
-    f: FolFormula,
-    g: FolFormula,
+    f: LogicNode,
+    g: LogicNode,
     budget: ProverBudget,
     domain_sizes=None,
 ) -> FiniteModel | None:
@@ -465,7 +453,6 @@ def find_countermodel(
     if domain_sizes is None:
         domain_sizes = range(1, budget.max_model_domain + 1)
     deadline = time.monotonic() + budget.max_seconds
-    tf, tg = as_quantified_tree(f), as_quantified_tree(g)
     for k in domain_sizes:
         spaces = [list(itertools.product(range(k), repeat=arity)) for _, arity in pred_slots]
         offsets, n = {}, 0
@@ -482,7 +469,7 @@ def find_countermodel(
                     return None
                 columns = low_columns + [full if block >> v & 1 else 0 for v in range(n - low)]
                 table = _grounded_table(k, const_map, offsets, columns, full)
-                diff = table(tf, {}) ^ table(tg, {})
+                diff = table(f, {}) ^ table(g, {})
                 if diff:
                     row = block << low | (diff & -diff).bit_length() - 1
                     rels: dict[str, frozenset] = {}
@@ -524,16 +511,13 @@ def _grounded_table(k: int, constants: dict, offsets: dict, columns: list, full:
 # ---------------------------------------------------------------------------
 # the full check
 
-def difference_formula(f: FolFormula, g: FolFormula) -> FolFormula:
+def difference_formula(f: LogicNode, g: LogicNode) -> Or:
     """not(f <-> g) expressed with the core connectives."""
-    tf = as_quantified_tree(f)
-    tg = as_quantified_tree(g)
-    matrix = Or((And((tf, Not(tg))), And((Not(tf), tg))))
-    return FolFormula((), matrix)
+    return Or((And((f, Not(g))), And((Not(f), g))))
 
 
 def equivalent_fol(
-    f: FolFormula, g: FolFormula, budget: ProverBudget | None = None
+    f: LogicNode, g: LogicNode, budget: ProverBudget | None = None
 ) -> EquivalenceVerdict:
     budget = budget or ProverBudget()
     f = universal_closure(f)

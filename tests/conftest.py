@@ -12,11 +12,11 @@ from formaltrip.syntax.nodes import (
     Atom,
     Concat,
     Constant,
-    FolFormula,
     Literal,
     Not,
     Or,
     Proposition,
+    Quantified,
     Star,
     Variable,
 )
@@ -74,7 +74,14 @@ def random_fol(rng: random.Random, max_depth: int = 3, n_preds: int = 2, n_const
         children = tuple(matrix(depth - 1) for _ in range(2))
         return And(children) if kind == 1 else Or(children)
 
-    return FolFormula(prefix, matrix(max_depth))
+    return quantify(prefix, matrix(max_depth))
+
+
+def quantify(prefix, body):
+    """`body` under one Quantified node per (kind, names) block, outermost first."""
+    for kind, names in reversed(prefix):
+        body = Quantified(kind, names, body)
+    return body
 
 
 @pytest.fixture

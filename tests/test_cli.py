@@ -84,6 +84,24 @@ def test_custom_grammar_file(tmp_path):
     assert rows and all('"formalism": "toy"' not in r for r in rows)
 
 
+REGEX_RULES = "S -> ( S ) K\nS -> S Σ K\nS -> Σ K\nK -> * | ε\n"
+
+
+@pytest.mark.parametrize("stem", ["prop", "myregex"])
+def test_custom_grammar_formalism_comes_from_its_placeholders(tmp_path, stem):
+    # a file named like a built-in grammar holds regex rules; the default
+    # metric of a regex grammar is cfg_depth whatever the file is called
+    rules = tmp_path / f"{stem}.cfg"
+    rules.write_text(REGEX_RULES, encoding="utf-8")
+    out = tmp_path / "ds"
+    assert run_cli(
+        "generate", "--grammar", rules, "--depth", "4", "--branching", "10",
+        "--sample-count", "2", "--batches", "1", "--seed", "3", "--output-dir", out,
+    ) == 0
+    rows = [json.loads(r) for r in (out / f"{stem}_cfg_depth_batch0.jsonl").read_text().splitlines()]
+    assert rows and {r["formalism"] for r in rows} == {"regex"}
+
+
 def test_run_report_verify_loop(dataset_dir, tmp_path, capsys):
     run_dir = tmp_path / "run"
     code = run_cli(
@@ -341,3 +359,26 @@ def test_report_nulls_a_batch_with_nothing_to_score(dataset_dir, tmp_path):
     assert (run_dir / csv).read_text() == (tmp_path / "alone" / csv).read_text()
 
     assert run_cli("report", "--results", empty, errored, "--output-dir", run_dir) == 3
+
+
+def test_report_nulls_accuracy_excluding_unknown_when_every_verdict_is_unknown(tmp_path):
+    header = {
+        "config_hash": "0" * 64, "dataset_hash": "0" * 64, "kind": "header",
+        "model": "perfect-oracle", "started_at": None, "version": formaltrip.__version__,
+    }
+    record = {
+        "alphabet": None, "batch_index": 0, "category_metric": "operator_total",
+        "category_value": 0, "cfg_depth": 4, "error": None, "expression": "∃ x1. pred2(p6)",
+        "formalism": "fol", "grammar_id": "fol", "interpretation": "",
+        "kind": "round_trip", "model": "perfect-oracle", "noncompliant_reason": None,
+        "parsed": "∃ x1. pred2(p6)", "prompt_ids": [], "raw_reply": "∃ x1. pred2(p6)",
+        "record_id": "fol-operator_total-0-00000", "timings": {}, "tokens": {},
+        "verdict_reason": "prover budget exhausted", "verdict_status": "unknown",
+        "verdict_witness": None,
+    }
+    results = tmp_path / "results_fol.jsonl"
+    results.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    assert run_cli("report", "--results", results, "--output-dir", tmp_path) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["accuracy_excluding_unknown"] is None
+    assert summary["unknown_rate"] == 1.0

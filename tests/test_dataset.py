@@ -49,7 +49,7 @@ def test_zero_free_variable_prob_gives_ground_formulas():
     realized = realize_vocabulary(vocab, rng)
     for leaf in leaves_of(FOL, small(depth=7), 2)[:50]:
         expr = instantiate(leaf, realized, vocab, rng, "fol")
-        assert not _variables_in(expr.ast.matrix)
+        assert not _variables_in(expr.ast)
 
 
 def test_prob_one_makes_every_slot_a_variable():
@@ -58,7 +58,7 @@ def test_prob_one_makes_every_slot_a_variable():
     realized = realize_vocabulary(vocab, rng)
     for leaf in leaves_of(FOL, small(depth=7), 3)[:50]:
         expr = instantiate(leaf, realized, vocab, rng, "fol")
-        assert not _constants_in(expr.ast.matrix)
+        assert not _constants_in(expr.ast)
 
 
 def test_variable_cap_keeps_objects():
@@ -69,8 +69,8 @@ def test_variable_cap_keeps_objects():
         if any(s in ("∀", "∃") for s in leaf.sentential_form):
             continue  # structural quantifiers still declare variables
         expr = instantiate(leaf, realized, vocab, rng, "fol")
-        assert expr.ast.prefix == ()
-        assert not _variables_in(expr.ast.matrix)
+        assert type(expr.ast) is not Quantified
+        assert not _variables_in(expr.ast)
 
 
 def test_predicate_arity_fixed_per_dataset():
@@ -80,7 +80,7 @@ def test_predicate_arity_fixed_per_dataset():
     seen: dict[str, int] = {}
     for leaf in leaves_of(FOL, small(depth=8), 5)[:100]:
         expr = instantiate(leaf, realized, vocab, rng, "fol")
-        for pred, arity in _arities_in(expr.ast.matrix).items():
+        for pred, arity in _arities_in(expr.ast).items():
             assert seen.setdefault(pred, arity) == arity
             assert arity == realized.predicates[pred]
 

@@ -8,9 +8,9 @@ import time
 
 import pytest
 
-from conftest import random_fol
+from conftest import quantify, random_fol
 from formaltrip.syntax import parse_fol
-from formaltrip.syntax.nodes import And, Atom, Constant, FolFormula, Not, Or, Quantified, Variable
+from formaltrip.syntax.nodes import And, Atom, LogicNode, Not, Or, Quantified, Variable
 from formaltrip.verify import (
     FiniteModel,
     ProverBudget,
@@ -37,7 +37,7 @@ QUICK = ProverBudget(max_clauses=5000, max_seconds=5.0, max_model_domain=3)
 
 # --- independent model evaluator --------------------------------------------
 
-def independent_eval(formula: FolFormula, model) -> bool:
+def independent_eval(formula: LogicNode, model) -> bool:
     """Naive re-implementation: quantifier loops over the raw domain."""
 
     def node_value(node, env):
@@ -65,10 +65,7 @@ def independent_eval(formula: FolFormula, model) -> bool:
             return all(results) if node.kind == "forall" else any(results)
         raise TypeError(node)
 
-    tree = formula.matrix
-    for kind, names in reversed(formula.prefix):
-        tree = Quantified(kind, names, tree)
-    return node_value(tree, {})
+    return node_value(formula, {})
 
 
 # --- universal closure -------------------------------------------------------
@@ -79,9 +76,9 @@ def test_closure_leaves_ground_formula_alone():
 
 
 def test_closure_adds_prefix_for_free_variable():
-    f = FolFormula((), Atom("pred1", (Variable("x"),)))
+    f = Atom("pred1", (Variable("x"),))
     closed = universal_closure(f)
-    assert closed.prefix == (("forall", ("x",)),)
+    assert closed == Quantified("forall", ("x",), f)
 
 
 def test_closure_idempotent_on_closed_formula():
@@ -238,17 +235,27 @@ def enumerated_countermodel(f, g, domain_sizes):
     return None
 
 
+def _root_chain(formula):
+    """The quantifier blocks at the root, and the formula below them."""
+    chain = []
+    while isinstance(formula, Quantified):
+        chain.append((formula.kind, formula.variables))
+        formula = formula.body
+    return chain, formula
+
+
 def _differential_pairs():
     rng = random.Random(31)
     pairs = []
     for _ in range(40):
         f = random_fol(rng, 2)
         pairs.append((f, random_fol(rng, 2)))
+        chain, body = _root_chain(f)
         # no countermodel: the same formula under a double negation
-        pairs.append((f, FolFormula(f.prefix, Not(Not(f.matrix)))))
-        # the same matrix under other quantifiers: some differ only at size 2
-        flipped = tuple(("exists" if kind == "forall" else "forall", names) for kind, names in f.prefix)
-        pairs.append((f, FolFormula(flipped, f.matrix)))
+        pairs.append((f, quantify(chain, Not(Not(body)))))
+        # the same body under other quantifiers: some differ only at size 2
+        flipped = [("exists" if kind == "forall" else "forall", names) for kind, names in chain]
+        pairs.append((f, quantify(flipped, body)))
     return pairs
 
 
@@ -362,7 +369,7 @@ def test_ground_agreement_with_prop_verifier():
     while checked < 500:
         f = random_fol(rng, 2)
         g = random_fol(rng, 2)
-        if f.prefix or g.prefix:
+        if isinstance(f, Quantified) or isinstance(g, Quantified):
             continue
         checked += 1
         fol_verdict = equivalent_fol(f, g, budget)
@@ -381,7 +388,7 @@ def test_ground_agreement_with_prop_verifier():
                 return type(node)(tuple(ab(c) for c in node.children))
             raise TypeError(node)
 
-        prop_verdict = equivalent_prop(ab(f.matrix), ab(g.matrix))
+        prop_verdict = equivalent_prop(ab(f), ab(g))
         assert (fol_verdict.status is Status.EQUIVALENT) == (
             prop_verdict.status is Status.EQUIVALENT
         )

@@ -1,8 +1,8 @@
 """Pinned outputs of everything that walks an expression's tree.
 
 Each row fixes, for one input, the operator counts, the interpret prompt's
-vocabulary block, the symbol sets of the verifiers, the free variables and
-prenex flag of a first-order formula, the simplified twin and the
+vocabulary block, the symbol sets of the verifiers, the free variables of a
+first-order formula, the simplified twin and the
 corrupting oracle's output for five seeds. The vocabulary block and the
 choice of corrupted operator depend on the order in which nodes are
 visited, so the table also pins that order. The values were recorded
@@ -22,7 +22,6 @@ from formaltrip.syntax import (
     ArityError,
     Atom,
     Constant,
-    FolFormula,
     Not,
     Or,
     Quantified,
@@ -39,15 +38,15 @@ from formaltrip.verify.regex import regex_symbols
 
 # The parser makes every term outside a quantifier's scope a constant, so
 # formulas with free variables are built directly.
-STRAY_FREE = FolFormula((), And((
+STRAY_FREE = And((
     Atom("P", (Variable("y"),)),
     Quantified(FORALL, ("x",), Or((
         Atom("Q", (Variable("x"), Variable("y"), Constant("c"))),
         Atom("R", (Variable("z"),)),
     ))),
-)))
-STRAY_UNDER_PREFIX = FolFormula(
-    ((EXISTS, ("x",)),),
+))
+STRAY_UNDER_PREFIX = Quantified(
+    EXISTS, ("x",),
     Not(Not(Atom("Q", (Variable("x"), Variable("w"), Variable("x"))))),
 )
 
@@ -129,7 +128,6 @@ CASES = [
         'vocabulary': 'The objects are: x, c\nThe parameterized predicates are: P(?p0), Q(?p0,?p1)\nThe free variables are: x',
         'symbols': (['c', 'x'], [('P', 1), ('Q', 2)]),
         'free': [],
-        'prenex': False,
         'simplified': '(P(x) ∧ (∀ x. Q(x, c)))',
         'corrupted': [
             '(P(x) ∨ (∀ x. Q(x, c)))',
@@ -145,7 +143,6 @@ CASES = [
         'vocabulary': 'The objects are: c\nThe parameterized predicates are: P(?p0), Q(?p0,?p1), R(?p0)\nThe free variables are: x',
         'symbols': (['c'], [('P', 1), ('Q', 2), ('R', 1)]),
         'free': [],
-        'prenex': False,
         'simplified': '∀ x. (P(x) ∧ (∃ x. (Q(x, c) ∨ R(x))))',
         'corrupted': [
             '∀ x. (P(x) ∧ (∃ x. (Q(x, c) ∧ ¬¬R(x))))',
@@ -161,7 +158,6 @@ CASES = [
         'vocabulary': 'The objects are: c1, c2\nThe parameterized predicates are: pred1(?p0), pred2(?p0,?p1), pred3(?p0,?p1,?p2)\nThe free variables are: x1, x2',
         'symbols': (['c1', 'c2'], [('pred1', 1), ('pred2', 2), ('pred3', 3)]),
         'free': [],
-        'prenex': False,
         'simplified': '∀ x1. ((pred1(x1) ∨ (∃ x2. (pred2(x1, x2) ∧ (pred1(x2) ∨ ¬pred3(x2, x1, c1))))) ∧ (pred1(c2) ∨ pred1(c1)))',
         'corrupted': [
             '∀ x1. ((pred1(x1) ∨ (∃ x2. (pred2(x1, x2) ∧ (pred1(x2) ∧ ¬pred3(x2, x1, c1))))) ∧ (pred1(c2) ∨ pred1(c1)))',
@@ -177,7 +173,6 @@ CASES = [
         'vocabulary': 'The objects are: c1\nThe parameterized predicates are: pred1(?p0), pred2(?p0,?p1)\nThe free variables are: x1',
         'symbols': (['c1'], [('pred1', 1), ('pred2', 2)]),
         'free': [],
-        'prenex': True,
         'simplified': '∀ x1. (pred1(x1) ∧ pred2(x1, c1))',
         'corrupted': [
             '∀ x1. (pred1(x1) ∨ pred1(x1) ∨ ¬¬pred2(x1, c1))',
@@ -193,7 +188,6 @@ CASES = [
         'vocabulary': 'The objects are: c\nThe parameterized predicates are: P(?p0), Q(?p0,?p1,?p2), R(?p0)\nThe free variables are: y, x, z',
         'symbols': (['c'], [('P', 1), ('Q', 3), ('R', 1)]),
         'free': ['y', 'z'],
-        'prenex': False,
         'simplified': '(P(y) ∧ (∀ x. (Q(x, y, c) ∨ R(z))))',
         'corrupted': [
             '(P(y) ∧ (∀ x. (Q(x, y, c) ∧ R(z))))',
@@ -209,7 +203,6 @@ CASES = [
         'vocabulary': 'The parameterized predicates are: Q(?p0,?p1,?p2)\nThe free variables are: x, w',
         'symbols': ([], [('Q', 3)]),
         'free': ['w'],
-        'prenex': True,
         'simplified': '∃ x. Q(x, w, x)',
         'corrupted': [
             '∃ x. ¬¬¬Q(x, w, x)',
@@ -286,7 +279,6 @@ def test_walker_outputs(formalism, source, expected):
         constants, predicates = collect_symbols(expr.ast)
         assert (sorted(constants), sorted(predicates.items())) == expected["symbols"]
         assert free_variables(expr.ast) == expected["free"]
-        assert expr.ast.prenex is expected["prenex"]
     assert simplify_expression(expr).canonical_text == expected["simplified"]
     corrupted = [corrupt_expression(expr, random.Random(seed)).canonical_text for seed in range(5)]
     assert corrupted == expected["corrupted"]

@@ -22,6 +22,7 @@ from formaltrip.grammar import (  # noqa: E402
     GenerationConfig,
     VocabularyConfig,
     generate_dataset,
+    infer_formalism,
 )
 from formaltrip.metrics import accuracy, compliance  # noqa: E402
 from formaltrip.pipeline import (  # noqa: E402
@@ -42,7 +43,7 @@ FAMILIES = [
 
 def family_dataset(grammar_id: str, vocab_kwargs: dict, samples: int, seed: int):
     grammar = BUILTIN_GRAMMARS[grammar_id]
-    formalism = "regex" if grammar_id == "regex" else ("fol" if grammar_id == "fol" else "prop")
+    formalism = infer_formalism(grammar)
     metric = "cfg_depth" if formalism == "regex" else "operator_total"
     # the regex grammar has few depth categories, so it needs a larger quota
     # and a wider walk to fill them

@@ -86,16 +86,21 @@ def expression_metric_value(
     return profile.value(metric)
 
 
+def check_metric(metric: str, formalism: str) -> None:
+    """Raise ValueError unless metric can categorize expressions of formalism."""
+    if metric not in ALL_METRICS:
+        raise ValueError(f"unknown categorization metric {metric!r}")
+    if metric in DFA_METRICS and formalism != "regex":
+        raise ValueError(f"categorization metric {metric!r} applies to the regex formalism only")
+
+
 def generate_dataset(
     grammar: GrammarSpec,
     vocab_config: VocabularyConfig,
     gen_config: GenerationConfig,
 ) -> tuple[list[DatasetRecord], DatasetManifest]:
-    if gen_config.metric not in ALL_METRICS:
-        raise ValueError(f"unknown categorization metric {gen_config.metric!r}")
     formalism = infer_formalism(grammar)
-    if gen_config.metric in DFA_METRICS and formalism != "regex":
-        raise ValueError("dfa metrics apply to the regex formalism only")
+    check_metric(gen_config.metric, formalism)
 
     rng = random.Random(gen_config.seed)
     realized = realize_vocabulary(vocab_config, rng)

@@ -92,6 +92,7 @@ def round_trip(
     templates: TemplateSet,
     budget: ProverBudget | None = None,
 ) -> RoundTripRecord:
+    alphabet = sorted(record.vocabulary.get("alphabet", ())) if record.formalism == "regex" else None
     out = RoundTripRecord(
         record_id=record.id,
         formalism=record.formalism,
@@ -102,9 +103,7 @@ def round_trip(
         expression=record.expression.canonical_text,
         model=provider.config.model,
         cfg_depth=record.cfg_depth,
-        alphabet=sorted(record.vocabulary.get("alphabet", ()))
-        if record.formalism == "regex"
-        else None,
+        alphabet=alphabet,
         prompt_ids=[templates.interpret.id, templates.compile.id],
     )
     deterministic = provider.config.deterministic
@@ -130,7 +129,6 @@ def round_trip(
         out.error = f"{type(e).__name__}: {e}"
         return out
 
-    alphabet = _record_alphabet(record)
     extracted = extract_formal(out.raw_reply, record.formalism, alphabet)
     if isinstance(extracted, NonCompliant):
         out.noncompliant_reason = extracted.reason
@@ -155,12 +153,6 @@ def round_trip(
     out.verdict_witness = witness_payload(verdict)
     out.verdict_reason = verdict.reason
     return out
-
-
-def _record_alphabet(record: DatasetRecord):
-    if record.formalism != "regex":
-        return None
-    return set(record.vocabulary.get("alphabet", ()))
 
 
 def parse_judge_answer(reply: str) -> str:

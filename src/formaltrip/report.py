@@ -11,7 +11,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import metrics as m
-from .grammar.dataset import expression_metric_value
+from .grammar.dataset import check_metric, expression_metric_value
 from .pipeline.runner import JudgeRecord, RoundTripRecord
 from .storage import dumps
 from .syntax import parse_expression
@@ -25,6 +25,7 @@ def rebucket(records: list[RoundTripRecord], metric: str) -> list[RoundTripRecor
     """Re-categorize records under a different complexity metric."""
     out = []
     for r in records:
+        check_metric(metric, r.formalism)
         alphabet = set(r.alphabet) if r.alphabet else None
         expr = parse_expression(r.formalism, r.expression, alphabet)
         value = expression_metric_value(expr, metric, cfg_depth=r.cfg_depth, alphabet=alphabet or ())

@@ -4,11 +4,11 @@ The negative direction searches finite interpretations, small domains
 first, with symmetry pruning on constant assignments, for a model where
 exactly one formula holds. For each domain size and constant assignment
 both formulas are grounded, each ground atom one propositional variable,
-and evaluated once as bit-parallel truth tables over every choice of
-relations. The positive direction refutes the negated biconditional by
-saturation-based binary resolution with factoring and subsumption.
-First-order logic being undecidable, both sides are budgeted and a
-resource-bounded Unknown is a possible outcome.
+and the block search of the propositional check compares their truth
+tables over every choice of relations. The positive direction refutes the
+negated biconditional by saturation-based binary resolution with factoring
+and subsumption. First-order logic being undecidable, both sides are
+budgeted and a resource-bounded Unknown is a possible outcome.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from operator import and_, or_
 
 from ..syntax.nodes import (
@@ -440,10 +440,10 @@ def find_countermodel(
     relations is checked at once. Each ground atom (slot, tuple) is one
     propositional variable, the last slot's tuples the lowest, so that row r
     of a truth table is the r-th choice in counting order with the last slot
-    varying fastest. Each formula is evaluated over its grounding as a
-    truth-table column (`prop._column`), the rows in blocks of
-    2**prop.EXHAUSTIVE_LIMIT with the clock checked between blocks, and the
-    lowest row where the two differ is the first countermodel."""
+    varying fastest. Both formulas are grounded and `prop.first_difference`,
+    the block search of the propositional check, finds the lowest row where
+    their tables differ, the first countermodel, with the clock read before
+    each block of rows."""
     consts_f, preds_f = collect_symbols(f)
     consts_g, preds_g = collect_symbols(g)
     # the same name with two arities (across formulas) denotes two relations;
@@ -459,33 +459,25 @@ def find_countermodel(
         for slot, space in reversed(list(zip(pred_slots, spaces))):
             offsets[slot] = n
             n += len(space)
-        low = min(n, prop.EXHAUSTIVE_LIMIT)
-        rows = 1 << low
-        full = (1 << rows) - 1
-        low_columns = [prop._column(v, rows) for v in range(low)]
         for const_map in _constant_assignments(constants, k):
-            for block in range(1 << (n - low)):
-                if time.monotonic() > deadline:
-                    return None
-                columns = low_columns + [full if block >> v & 1 else 0 for v in range(n - low)]
-                table = _grounded_table(k, const_map, offsets, columns, full)
-                diff = table(f, {}) ^ table(g, {})
-                if diff:
-                    row = block << low | (diff & -diff).bit_length() - 1
-                    rels: dict[str, frozenset] = {}
-                    for (name, arity), space in zip(pred_slots, spaces):
-                        bits = row >> offsets[name, arity]
-                        chosen = frozenset(tup for idx, tup in enumerate(space) if bits >> idx & 1)
-                        rels[name] = rels.get(name, frozenset()) | chosen
-                    return FiniteModel(k, dict(const_map), rels)
+            row = prop.first_difference(n, partial(_grounded_difference, f, g, k, const_map, offsets), deadline)
+            if row is not None:
+                rels: dict[str, frozenset] = {}
+                for (name, arity), space in zip(pred_slots, spaces):
+                    bits = row >> offsets[name, arity]
+                    chosen = frozenset(tup for idx, tup in enumerate(space) if bits >> idx & 1)
+                    rels[name] = rels.get(name, frozenset()) | chosen
+                return FiniteModel(k, dict(const_map), rels)
+            if time.monotonic() > deadline:
+                return None
     return None
 
 
-def _grounded_table(k: int, constants: dict, offsets: dict, columns: list, full: int):
-    """The truth table of a quantified tree grounded over domain range(k):
-    a quantifier is the And or Or of its body over every binding, and the
-    atom pred(a1, ..., an) is the column of ground atom number
-    offsets[pred, n] + (a1 ... an read as base-k digits)."""
+def _grounded_difference(f, g, k: int, constants: dict, offsets: dict, columns: list, full: int) -> int:
+    """The bits where the truth tables of quantified trees f and g, grounded
+    over domain range(k), differ: a quantifier is the And or Or of its body
+    over every binding, and the atom pred(a1, ..., an) is the column of
+    ground atom number offsets[pred, n] + (a1 ... an read as base-k digits)."""
 
     def table(node, env: dict) -> int:
         t = type(node)
@@ -505,7 +497,7 @@ def _grounded_table(k: int, constants: dict, offsets: dict, columns: list, full:
             return reduce(and_ if t is And else or_, [table(c, env) for c in node.children])
         raise TypeError(f"not a first-order node: {node!r}")
 
-    return table
+    return table(f, {}) ^ table(g, {})
 
 
 # ---------------------------------------------------------------------------

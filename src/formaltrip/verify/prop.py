@@ -1,15 +1,16 @@
 """Propositional equivalence over the union of both variable sets.
 
-Up to 20 variables each side is evaluated once over its whole truth table,
-bit-parallel: the table is a Python int whose bit r is the value at row r,
-where row r gives the i-th sorted variable the value of bit i of r. The
-witness is the lowest row where the two tables differ, which is the first
-differing row in counting order. Past 20 variables a complete backtracking
-search looks for a satisfying assignment of f XOR g. Either way the check
-is decisive: no Unknown verdicts.
+Each side is evaluated bit-parallel over its truth table: a table is a
+Python int whose bit r is the value at row r, and variable i is bit i of r.
+`first_difference` walks the 2**n rows in blocks of 2**EXHAUSTIVE_LIMIT and
+returns the lowest row where the two tables differ, the witness. The same
+block search serves `fol.find_countermodel`. The check is decisive: no
+Unknown verdicts.
 """
 
 from __future__ import annotations
+
+import time
 
 from ..syntax.nodes import And, Not, Or, Proposition, walk
 from .verdict import EquivalenceVerdict, equivalent, not_equivalent
@@ -49,19 +50,42 @@ def equivalent_prop(f, g) -> EquivalenceVerdict:
     if f == g:
         return equivalent()
     names = sorted(variables(f) | variables(g))
-    if len(names) <= EXHAUSTIVE_LIMIT:
-        rows = 1 << len(names)
-        full = (1 << rows) - 1
-        columns = {name: _column(i, rows) for i, name in enumerate(names)}
-        diff = _table(f, columns, full) ^ _table(g, columns, full)
-        if not diff:
-            return equivalent()
-        row = (diff & -diff).bit_length() - 1
-        return not_equivalent(witness={name: bool(row >> i & 1) for i, name in enumerate(names)})
-    witness = _search_difference(f, g, names, {})
-    if witness is not None:
-        return not_equivalent(witness=witness)
-    return equivalent()
+    # The witness is pinned in both ranges. Within one block it is the first
+    # differing row in counting order, the first name the lowest bit; past
+    # one block it is the least differing assignment in name order, False
+    # before True, so there the first name is the highest bit.
+    order = names if len(names) <= EXHAUSTIVE_LIMIT else names[::-1]
+
+    def difference(columns: list[int], full: int) -> int:
+        by_name = dict(zip(order, columns))
+        return _table(f, by_name, full) ^ _table(g, by_name, full)
+
+    row = first_difference(len(names), difference)
+    if row is None:
+        return equivalent()
+    return not_equivalent(witness=dict(sorted((name, bool(row >> i & 1)) for i, name in enumerate(order))))
+
+
+def first_difference(n: int, difference, deadline: float | None = None) -> int | None:
+    """The lowest of the 2**n rows where two truth tables over n variables
+    differ, or None when none does or the clock passes deadline.
+
+    The rows are walked in blocks of 2**EXHAUSTIVE_LIMIT, the clock read
+    before each. For a block, difference(columns, full) gets the truth
+    table of variable v over the block's rows as columns[v] (the high
+    variables are constant within a block) and the all-ones table full, and
+    returns the bits where the two tables differ."""
+    low = min(n, EXHAUSTIVE_LIMIT)
+    rows = 1 << low
+    full = (1 << rows) - 1
+    low_columns = [_column(v, rows) for v in range(low)]
+    for block in range(1 << (n - low)):
+        if deadline is not None and time.monotonic() > deadline:
+            return None
+        diff = difference(low_columns + [full if block >> v & 1 else 0 for v in range(n - low)], full)
+        if diff:
+            return block << low | (diff & -diff).bit_length() - 1
+    return None
 
 
 def _column(i: int, rows: int) -> int:
@@ -92,55 +116,4 @@ def _table(formula, columns: dict[str, int], full: int) -> int:
         for c in formula.children:
             out |= _table(c, columns, full)
         return out
-    raise TypeError(f"not a propositional node: {formula!r}")
-
-
-def _search_difference(f, g, names: list[str], partial: Assignment) -> Assignment | None:
-    """Complete backtracking search for an assignment where f and g differ."""
-    vf = _eval3(f, partial)
-    vg = _eval3(g, partial)
-    if vf is not None and vg is not None:
-        if vf != vg:
-            full = dict(partial)
-            for name in names:
-                full.setdefault(name, False)
-            return full
-        return None
-    for name in names:
-        if name not in partial:
-            for value in (False, True):
-                partial[name] = value
-                found = _search_difference(f, g, names, partial)
-                if found is not None:
-                    return found
-            del partial[name]
-            return None
-    return None  # fully assigned and equal
-
-
-def _eval3(formula, partial: Assignment) -> bool | None:
-    """Three-valued evaluation under a partial assignment."""
-    if isinstance(formula, Proposition):
-        return partial.get(formula.name)
-    if isinstance(formula, Not):
-        v = _eval3(formula.child, partial)
-        return None if v is None else not v
-    if isinstance(formula, And):
-        saw_none = False
-        for c in formula.children:
-            v = _eval3(c, partial)
-            if v is False:
-                return False
-            if v is None:
-                saw_none = True
-        return None if saw_none else True
-    if isinstance(formula, Or):
-        saw_none = False
-        for c in formula.children:
-            v = _eval3(c, partial)
-            if v is True:
-                return True
-            if v is None:
-                saw_none = True
-        return None if saw_none else False
     raise TypeError(f"not a propositional node: {formula!r}")

@@ -256,6 +256,22 @@ def test_report_rebucket_by_flag(tmp_path):
     assert summary2["category_metric"] == "operator_total"
 
 
+@pytest.mark.parametrize("metric", ["dfa_density", "bogus"])
+def test_report_by_a_metric_that_does_not_apply_is_an_error(dataset_dir, tmp_path, capsys, metric):
+    run_dir = tmp_path / "run"
+    assert run_cli(
+        "run", "--provider", "perfect-oracle",
+        "--dataset", dataset_dir / "prop_operator_total_batch0.jsonl", "--output-dir", run_dir,
+    ) == 0
+    result = next(run_dir.glob("results_*.jsonl"))
+    capsys.readouterr()
+    code = run_cli("report", "--results", result, "--by", metric, "--output-dir", run_dir)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and repr(metric) in err
+    assert not (run_dir / "summary.json").exists()
+
+
 def test_verify_unknown_exit_code(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

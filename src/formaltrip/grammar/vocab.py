@@ -45,8 +45,11 @@ class VocabularyConfig:
             raise ValueError("free_variable_prob must be within [0, 1]")
         if not 1 <= self.min_predicate_arity <= self.max_predicate_arity:
             raise ValueError("need 1 <= min_predicate_arity <= max_predicate_arity")
-        if self.alphabet_size < 1:
-            raise ValueError("alphabet_size must be >= 1")
+        for name in ("num_propositions", "num_predicates", "num_objects", "alphabet_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.alphabet_size > 10:
+            raise ValueError("alphabet symbols are single digits; alphabet_size <= 10")
         if self.naming_mode not in (SYNTHETIC, ENGLISH):
             raise ValueError(f"unknown naming_mode {self.naming_mode!r}")
 
@@ -85,8 +88,6 @@ def realize_vocabulary(config: VocabularyConfig, rng: random.Random) -> Realized
         name: rng.randint(config.min_predicate_arity, config.max_predicate_arity)
         for name in predicate_names
     }
-    if config.alphabet_size > 10:
-        raise ValueError("alphabet symbols are single digits; alphabet_size <= 10")
     alphabet = tuple(str(d) for d in range(config.alphabet_size))
     return RealizedVocabulary(propositions, objects, predicates, alphabet)
 

@@ -236,7 +236,8 @@ class Provider:
                 if logger.isEnabledFor(logging.DEBUG):
                     logger.debug("response attempt=%d body=%s", attempt, body)
                 text = _reply_text(body)
-                usage = body.get("usage", {})
+                usage = body.get("usage")
+                usage = usage if isinstance(usage, dict) else {}  # some servers send null
                 return Completion(
                     text=text,
                     attempts=attempt,

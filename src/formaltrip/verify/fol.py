@@ -17,8 +17,7 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
-from functools import partial, reduce
-from operator import and_, or_
+from functools import partial
 
 from ..syntax.nodes import (
     FORALL,
@@ -475,29 +474,17 @@ def find_countermodel(
 
 def _grounded_difference(f, g, k: int, constants: dict, offsets: dict, columns: list, full: int) -> int:
     """The bits where the truth tables of quantified trees f and g, grounded
-    over domain range(k), differ: a quantifier is the And or Or of its body
-    over every binding, and the atom pred(a1, ..., an) is the column of
+    over domain range(k), differ: the atom pred(a1, ..., an) is the column of
     ground atom number offsets[pred, n] + (a1 ... an read as base-k digits)."""
 
-    def table(node, env: dict) -> int:
-        t = type(node)
-        if t is Atom:
-            index = 0
-            for term in node.terms:
-                name = term.name
-                index = index * k + (env[name] if type(term) is Variable and name in env else constants[name])
-            return columns[offsets[node.predicate, len(node.terms)] + index]
-        if t is Not:
-            return full ^ table(node.child, env)
-        if t is Quantified:
-            parts = [table(node.body, {**env, **dict(zip(node.variables, combo))})
-                     for combo in itertools.product(range(k), repeat=len(node.variables))]
-            return reduce(and_ if node.kind == FORALL else or_, parts)
-        if t is And or t is Or:
-            return reduce(and_ if t is And else or_, [table(c, env) for c in node.children])
-        raise TypeError(f"not a first-order node: {node!r}")
+    def leaf(atom: Atom, env: dict) -> int:
+        index = 0
+        for term in atom.terms:
+            name = term.name
+            index = index * k + (env[name] if type(term) is Variable and name in env else constants[name])
+        return columns[offsets[atom.predicate, len(atom.terms)] + index]
 
-    return table(f, {}) ^ table(g, {})
+    return prop.truth_table(f, leaf, full, k, {}) ^ prop.truth_table(g, leaf, full, k, {})
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,19 @@ Each side is evaluated bit-parallel over its truth table: a table is a
 Python int whose bit r is the value at row r, and variable i is bit i of r.
 `first_difference` walks the 2**n rows in blocks of 2**EXHAUSTIVE_LIMIT and
 returns the lowest row where the two tables differ, the witness. The same
-block search serves `fol.find_countermodel`. The check is decisive: no
+block search and the same evaluator, `truth_table`, serve
+`fol.find_countermodel` over ground atoms. The check is decisive: no
 Unknown verdicts.
 """
 
 from __future__ import annotations
 
 import time
+from functools import reduce
+from itertools import product
+from operator import and_, or_
 
-from ..syntax.nodes import And, Not, Or, Proposition, walk
+from ..syntax.nodes import FORALL, And, Atom, Not, Or, Proposition, Quantified, walk
 from .verdict import EquivalenceVerdict, equivalent, not_equivalent
 
 EXHAUSTIVE_LIMIT = 20
@@ -58,7 +62,8 @@ def equivalent_prop(f, g) -> EquivalenceVerdict:
 
     def difference(columns: list[int], full: int) -> int:
         by_name = dict(zip(order, columns))
-        return _table(f, by_name, full) ^ _table(g, by_name, full)
+        leaf = lambda node, env: by_name[node.name]
+        return truth_table(f, leaf, full) ^ truth_table(g, leaf, full)
 
     row = first_difference(len(names), difference)
     if row is None:
@@ -99,21 +104,23 @@ def _column(i: int, rows: int) -> int:
     return column
 
 
-def _table(formula, columns: dict[str, int], full: int) -> int:
-    """The truth table of formula over the rows the columns span."""
+def truth_table(formula, leaf, full: int, k: int = 0, env: dict | None = None) -> int:
+    """The truth table of formula over the rows full spans. leaf(node, env)
+    gives the table of a Proposition or an Atom under the variable binding
+    env; a Quantified node is the And (forall) or Or (exists) of its body
+    over every binding of its variables in range(k)."""
     t = type(formula)
-    if t is Proposition:
-        return columns[formula.name]
+    if t is Proposition or t is Atom:
+        return leaf(formula, env)
     if t is Not:
-        return full ^ _table(formula.child, columns, full)
-    if t is And:
-        out = full
-        for c in formula.children:
-            out &= _table(c, columns, full)
-        return out
-    if t is Or:
-        out = 0
-        for c in formula.children:
-            out |= _table(c, columns, full)
-        return out
-    raise TypeError(f"not a propositional node: {formula!r}")
+        return full ^ truth_table(formula.child, leaf, full, k, env)
+    if t is And or t is Or:
+        parts = [truth_table(c, leaf, full, k, env) for c in formula.children]
+        conjunction = t is And
+    elif t is Quantified:
+        parts = [truth_table(formula.body, leaf, full, k, {**(env or {}), **dict(zip(formula.variables, combo))})
+                 for combo in product(range(k), repeat=len(formula.variables))]
+        conjunction = formula.kind == FORALL
+    else:
+        raise TypeError(f"not a logic node: {formula!r}")
+    return reduce(and_, parts, full) if conjunction else reduce(or_, parts, 0)

@@ -1,7 +1,8 @@
 """Regex equivalence and DFA metrics.
 
-Both sides go through Thompson construction and the subset construction,
-which yields a complete DFA (the empty subset is the dead state).
+Both sides go through Glushkov's position automaton, which has no
+epsilon moves, and the subset construction, which yields a complete DFA
+(the empty subset is the dead state).
 Equivalence is a breadth-first search over the product of the two DFAs,
 symbols in ascending order: the first state pair where exactly one side
 accepts gives the shortlex-least word in the symmetric difference, and
@@ -13,7 +14,8 @@ the start block in the same pass.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 
 from ..syntax.nodes import Concat, Literal, RegexAst, Star, walk
 from .verdict import EquivalenceVerdict, equivalent, not_equivalent
@@ -27,7 +29,7 @@ class AlphabetMismatch(ValueError):
 class Nfa:
     n_states: int
     alphabet: tuple[str, ...]
-    transitions: set[tuple[int, str | None, int]]  # None label = epsilon
+    transitions: set[tuple[int, str, int]]  # (source, symbol, target)
     start: int
     accepting: frozenset[int]
 
@@ -58,82 +60,59 @@ class DfaMetrics:
 
 
 # ---------------------------------------------------------------------------
-# Thompson construction
+# Glushkov's position automaton
 
 def to_nfa(regex: RegexAst, alphabet) -> Nfa:
+    """The position automaton: state 0 is the start and state i the i-th
+    literal in pre-order, so every transition into state i reads literal
+    i's symbol. One walk gives each node's (nullable, first, last) and adds
+    the follow pairs: a star links its last positions to its first, and a
+    concatenation links each child's last to the next child's first,
+    carrying across nullable children."""
     alphabet = tuple(sorted(set(alphabet)))
-    builder = _NfaBuilder(alphabet)
-    start, accept = builder.build(regex)
+    symbols = [""]  # symbols[i] is the symbol of position i
+    follow: set[tuple[int, int]] = set()
+
+    def positions(node: RegexAst) -> tuple[bool, set[int], set[int]]:
+        if isinstance(node, Literal):
+            if node.symbol not in alphabet:
+                raise AlphabetMismatch(f"literal {node.symbol!r} outside alphabet")
+            symbols.append(node.symbol)
+            return False, {len(symbols) - 1}, {len(symbols) - 1}
+        if isinstance(node, Star):
+            _, first, last = positions(node.child)
+            follow.update(product(last, first))
+            return True, first, last
+        if isinstance(node, Concat):
+            nullable, first, last = True, set(), set()
+            for child in node.children:
+                child_nullable, child_first, child_last = positions(child)
+                follow.update(product(last, child_first))
+                if nullable:
+                    first |= child_first
+                last = last | child_last if child_nullable else child_last
+                nullable = nullable and child_nullable
+            return nullable, first, last
+        raise TypeError(f"not a regex node: {node!r}")
+
+    nullable, first, last = positions(regex)
+    follow.update((0, j) for j in first)
     return Nfa(
-        n_states=builder.count,
+        n_states=len(symbols),
         alphabet=alphabet,
-        transitions=builder.transitions,
-        start=start,
-        accepting=frozenset({accept}),
+        transitions={(i, symbols[j], j) for i, j in follow},
+        start=0,
+        accepting=frozenset(last | {0}) if nullable else frozenset(last),
     )
 
 
-class _NfaBuilder:
-    def __init__(self, alphabet):
-        self.alphabet = set(alphabet)
-        self.count = 0
-        self.transitions: set[tuple[int, str | None, int]] = set()
-
-    def fresh(self) -> int:
-        self.count += 1
-        return self.count - 1
-
-    def build(self, node: RegexAst) -> tuple[int, int]:
-        if isinstance(node, Literal):
-            if node.symbol not in self.alphabet:
-                raise AlphabetMismatch(f"literal {node.symbol!r} outside alphabet")
-            a, b = self.fresh(), self.fresh()
-            self.transitions.add((a, node.symbol, b))
-            return a, b
-        if isinstance(node, Concat):
-            first_start, prev_accept = self.build(node.children[0])
-            for child in node.children[1:]:
-                s, a = self.build(child)
-                self.transitions.add((prev_accept, None, s))
-                prev_accept = a
-            return first_start, prev_accept
-        if isinstance(node, Star):
-            inner_start, inner_accept = self.build(node.child)
-            a, b = self.fresh(), self.fresh()
-            self.transitions.add((a, None, inner_start))
-            self.transitions.add((a, None, b))
-            self.transitions.add((inner_accept, None, inner_start))
-            self.transitions.add((inner_accept, None, b))
-            return a, b
-        raise TypeError(f"not a regex node: {node!r}")
-
-
 def nfa_accepts(nfa: Nfa, word: str) -> bool:
-    eps: dict[int, list[int]] = {}
     step: dict[tuple[int, str], list[int]] = {}
     for src, label, dst in nfa.transitions:
-        if label is None:
-            eps.setdefault(src, []).append(dst)
-        else:
-            step.setdefault((src, label), []).append(dst)
-
-    def closure(states: set[int]) -> set[int]:
-        stack = list(states)
-        out = set(states)
-        while stack:
-            s = stack.pop()
-            for t in eps.get(s, ()):
-                if t not in out:
-                    out.add(t)
-                    stack.append(t)
-        return out
-
-    current = closure({nfa.start})
+        step.setdefault((src, label), []).append(dst)
+    current = {nfa.start}
     for ch in word:
-        nxt: set[int] = set()
-        for s in current:
-            nxt.update(step.get((s, ch), ()))
-        current = closure(nxt)
+        current = {t for s in current for t in step.get((s, ch), ())}
         if not current:
             return False
     return bool(current & nfa.accepting)
@@ -147,36 +126,16 @@ def determinize_minimize(nfa: Nfa) -> Dfa:
 
 
 def _determinize(nfa: Nfa) -> Dfa:
-    eps: list[list[int]] = [[] for _ in range(nfa.n_states)]
-    for src, label, dst in nfa.transitions:
-        if label is None:
-            eps[src].append(dst)
-    closures: dict[int, frozenset[int]] = {}
-
-    def closure(state: int) -> frozenset[int]:
-        if state not in closures:
-            stack = [state]
-            out = {state}
-            while stack:
-                for t in eps[stack.pop()]:
-                    if t not in out:
-                        out.add(t)
-                        stack.append(t)
-            closures[state] = frozenset(out)
-        return closures[state]
-
-    # per NFA state with symbol edges and per symbol, the closure of the
-    # states one step away; the closure of a union is the union of closures,
-    # so a subset's successor is the union of its members' moves
+    # per NFA state and per symbol, the states one step away; a subset's
+    # successor is the union of its members' moves
     empty: frozenset[int] = frozenset()
     symbol_index = {sym: k for k, sym in enumerate(nfa.alphabet)}
     moves: dict[int, list[frozenset[int]]] = {}
     for src, label, dst in nfa.transitions:
-        if label is not None:
-            row = moves.setdefault(src, [empty] * len(nfa.alphabet))
-            row[symbol_index[label]] |= closure(dst)
+        row = moves.setdefault(src, [empty] * len(nfa.alphabet))
+        row[symbol_index[label]] |= {dst}
 
-    start = closure(nfa.start)
+    start = frozenset({nfa.start})
     index: dict[frozenset[int], int] = {start: 0}
     order = [start]
     rows: list[list[int]] = []

@@ -229,6 +229,20 @@ def test_generate_rejects_bad_params(tmp_path):
     ) == 3
 
 
+@pytest.mark.parametrize("grammar, flag, field", [
+    ("prop", "--num-propositions", "num_propositions"),
+    ("fol", "--num-predicates", "num_predicates"),
+    ("fol", "--num-objects", "num_objects"),
+])
+def test_generate_rejects_an_empty_vocabulary(tmp_path, capsys, grammar, flag, field):
+    out = tmp_path / "ds"
+    code = run_cli("generate", "--grammar", grammar, flag, "0", "--output-dir", out)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and field in err
+    assert not out.exists()
+
+
 def test_report_rebucket_by_flag(tmp_path):
     ds = tmp_path / "ds"
     assert run_cli(

@@ -2,17 +2,19 @@
 
 The equivalence oracle walks the product of the two NFAs directly (pure
 subset simulation, no determinization/minimization code shared with the
-verifier); the minimality oracle is a table-filling minimizer.
+verifier); the minimality oracle is a table-filling minimizer. Python's `re`
+shares no automaton code at all: it checks membership and witnesses.
 """
 
 import itertools
 import random
+import re
 
 from conftest import random_regex, regex_asts
 from hypothesis import given
 
 from formaltrip.syntax import parse_regex
-from formaltrip.syntax.nodes import Star
+from formaltrip.syntax.nodes import Concat, Literal, Star
 from formaltrip.syntax.printer import print_regex
 from formaltrip.verify import (
     compile_regex,
@@ -123,6 +125,49 @@ def simulate(dfa, word) -> bool:
     return dfa.accepts(word)
 
 
+def to_pattern(node) -> str:
+    """The regex as a Python `re` pattern; `re` rejects `0**`, so a star
+    wraps its child in a non-capturing group."""
+    if isinstance(node, Literal):
+        return re.escape(node.symbol)
+    if isinstance(node, Star):
+        return f"(?:{to_pattern(node.child)})*"
+    return "".join(to_pattern(c) for c in node.children)
+
+
+def literals(node) -> list[str]:
+    """The symbols of the regex's literals in pre-order."""
+    if isinstance(node, Literal):
+        return [node.symbol]
+    if isinstance(node, Star):
+        return literals(node.child)
+    return [sym for c in node.children for sym in literals(c)]
+
+
+def words(alphabet, max_length):
+    """Every word up to max_length in shortlex order."""
+    for n in range(max_length + 1):
+        for letters in itertools.product(sorted(alphabet), repeat=n):
+            yield "".join(letters)
+
+
+def random_regexes(rng, count):
+    """Seeded regexes over 1-3 symbols: single literals, stars of stars and
+    nested stars first, then random trees up to depth 5."""
+    fixed = [
+        (Literal("0"), ("0",)),
+        (Literal("2"), ("0", "1", "2")),
+        (Star(Star(Literal("1"))), ("0", "1")),
+        (Star(Star(Star(Literal("0")))), ("0",)),
+        (Star(Concat((Star(Literal("0")), Literal("1")))), ("0", "1")),
+        (Concat((Star(Concat((Literal("0"), Star(Literal("2"))))), Star(Star(Literal("1"))))), ("0", "1", "2")),
+    ]
+    yield from fixed
+    for _ in range(count - len(fixed)):
+        alphabet = ("0", "1", "2")[: rng.randint(1, 3)]
+        yield random_regex(rng, rng.randint(0, 5), alphabet), alphabet
+
+
 # --- construction ----------------------------------------------------------
 
 def test_single_literal_nfa():
@@ -137,6 +182,20 @@ def test_star_closure():
     for word in ("", "1", "11", "111"):
         assert nfa_accepts(nfa, word)
     assert not nfa_accepts(nfa, "0")
+
+
+def test_position_automaton_structure(rng):
+    """State 0 is the start, state i the i-th literal in pre-order, and
+    every transition into state i reads that literal's symbol."""
+    for r, alphabet in random_regexes(rng, 300):
+        nfa = to_nfa(r, alphabet)
+        symbols = literals(r)
+        assert nfa.n_states == len(symbols) + 1
+        assert nfa.start == 0
+        for src, label, dst in nfa.transitions:
+            assert label is not None
+            assert 0 <= src < nfa.n_states and 1 <= dst < nfa.n_states
+            assert label == symbols[dst - 1]
 
 
 def test_delimited_alternation_membership():
@@ -219,6 +278,49 @@ def test_membership_preservation(rng):
         for _ in range(100):
             word = "".join(rng.choice(SIGMA) for _ in range(rng.randint(0, 12)))
             assert nfa_accepts(nfa, word) == simulate(dfa, word)
+
+
+def test_re_oracle_membership(rng):
+    """Every word up to length 6: `re.fullmatch`, the NFA and the minimal
+    DFA agree."""
+    regexes = list(random_regexes(rng, 300))
+    assert any(isinstance(r, Literal) for r, _ in regexes)
+    assert any(isinstance(r, Star) and isinstance(r.child, Star) for r, _ in regexes)
+    for r, alphabet in regexes:
+        pattern = re.compile(to_pattern(r))
+        nfa, dfa = to_nfa(r, alphabet), compile_regex(r, alphabet)
+        for word in words(alphabet, 6):
+            expected = pattern.fullmatch(word) is not None
+            assert nfa_accepts(nfa, word) == expected, (print_regex(r), word)
+            assert dfa.accepts(word) == expected, (print_regex(r), word)
+
+
+def test_re_oracle_witnesses(rng):
+    """A witness is accepted by exactly one side under `re`, and no
+    shortlex-smaller word separates the pair; an equivalent pair has no
+    separating word up to length 6."""
+    separated = 0
+    for _ in range(300):
+        alphabet = ("0", "1", "2")[: rng.randint(1, 3)]
+        r1, r2 = random_regex(rng, 4, alphabet), random_regex(rng, 4, alphabet)
+        if rng.random() < 0.3:
+            r2 = Star(r1) if rng.random() < 0.5 else Concat((r1, Star(Literal(alphabet[0]))))
+        p1, p2 = re.compile(to_pattern(r1)), re.compile(to_pattern(r2))
+
+        def separates(word):
+            return (p1.fullmatch(word) is None) != (p2.fullmatch(word) is None)
+
+        v = equivalent_regex(r1, r2, alphabet)
+        if v.status is Status.EQUIVALENT:
+            assert not any(separates(w) for w in words(alphabet, 6)), (print_regex(r1), print_regex(r2))
+            continue
+        separated += 1
+        assert separates(v.witness), (print_regex(r1), print_regex(r2), v.witness)
+        for word in words(alphabet, len(v.witness)):
+            if word == v.witness:
+                break
+            assert not separates(word), (print_regex(r1), print_regex(r2), word, v.witness)
+    assert 0 < separated < 300
 
 
 @given(regex_asts)

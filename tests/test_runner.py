@@ -137,6 +137,23 @@ def test_malformed_http_body_is_an_error_on_its_record(body):
     assert out.verdict_status is None
 
 
+def test_null_usage_is_no_token_counts():
+    record = dataset()[0]
+
+    def transport(endpoint, payload, headers, timeout):
+        reply = record.expression.canonical_text
+        return {"choices": [{"message": {"content": reply}}], "usage": None}
+
+    config = ProviderConfig(
+        kind="http_chat", endpoint="http://example.invalid/v1/chat", model="m",
+        rate_limit_rpm=100000, backoff_base=0.001, max_attempts=3,
+    )
+    out = round_trip(record, Provider(config, transport=transport), load_template_set("prop", 0))
+    assert out.error is None
+    assert out.verdict_status == "equivalent"
+    assert out.tokens == {}
+
+
 def test_concurrent_results_keep_dataset_order():
     records = dataset()
     templates = load_template_set("prop", 0)

@@ -92,7 +92,7 @@ def round_trip(
     templates: TemplateSet,
     budget: ProverBudget | None = None,
 ) -> RoundTripRecord:
-    alphabet = sorted(record.vocabulary.get("alphabet", ())) if record.formalism == "regex" else None
+    alphabet = (sorted(record.vocabulary.get("alphabet", ())) or None) if record.formalism == "regex" else None
     out = RoundTripRecord(
         record_id=record.id,
         formalism=record.formalism,

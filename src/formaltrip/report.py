@@ -7,7 +7,7 @@ from deterministic runs are byte-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import replace
 from pathlib import Path
 
 from . import metrics as m
@@ -29,8 +29,7 @@ def rebucket(records: list[RoundTripRecord], metric: str) -> list[RoundTripRecor
         alphabet = set(r.alphabet) if r.alphabet else None
         expr = parse_expression(r.formalism, r.expression, alphabet)
         value = expression_metric_value(expr, metric, cfg_depth=r.cfg_depth, alphabet=alphabet or ())
-        clone = RoundTripRecord(**{**asdict(r), "category_metric": metric, "category_value": value})
-        out.append(clone)
+        out.append(replace(r, category_metric=metric, category_value=value))
     return out
 
 

@@ -130,11 +130,11 @@ def result_header(
 
 
 def round_trip_to_json(record: RoundTripRecord) -> dict:
-    return {**asdict(record), "kind": "round_trip"}
+    return {**vars(record), "kind": "round_trip"}
 
 
 def judge_to_json(record: JudgeRecord) -> dict:
-    return {**asdict(record), "kind": "judge"}
+    return {**vars(record), "kind": "judge"}
 
 
 class ResultWriter:

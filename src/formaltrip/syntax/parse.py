@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 import string
+import weakref
 
 from .nodes import (
     EXISTS,
@@ -361,12 +362,30 @@ def _parse_regex_concat(s: str, i: int, alphabet, depth: int) -> tuple[RegexAst,
 # ---------------------------------------------------------------------------
 # any of the three
 
+# Hash-consing over a weak table: parsing is a pure function and expressions
+# are immutable, so a canonical text whose expression some caller still holds
+# is not parsed again. An entry dies with the last reference to its expression.
+_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def parse_expression(formalism: str, text: str, alphabet=None) -> FormalExpression:
-    """Parse canonical or user text in the given formalism."""
+    """Parse canonical or user text in the given formalism.
+
+    For a canonical text already parsed, with the same regex alphabet, whose
+    expression is still alive, this returns that same expression object.
+    """
+    alphabet_key = frozenset(alphabet) if formalism == REGEX and alphabet is not None else None
+    expr = _LIVE.get((formalism, text, alphabet_key))
+    if expr is not None:
+        return expr
     if formalism == PROP:
-        return make_expression(PROP, parse_prop(text))
-    if formalism == FOL:
-        return make_expression(FOL, parse_fol(text))
-    if formalism == REGEX:
-        return make_expression(REGEX, parse_regex(text, alphabet))
-    raise ValueError(f"unknown formalism {formalism!r}")
+        expr = make_expression(PROP, parse_prop(text))
+    elif formalism == FOL:
+        expr = make_expression(FOL, parse_fol(text))
+    elif formalism == REGEX:
+        expr = make_expression(REGEX, parse_regex(text, alphabet))
+    else:
+        raise ValueError(f"unknown formalism {formalism!r}")
+    if expr.canonical_text == text:
+        _LIVE[formalism, expr.canonical_text, alphabet_key] = expr
+    return expr

@@ -78,6 +78,24 @@ def test_perfect_oracle_on_all_formalisms():
         assert all(r.compliant for r in results)
 
 
+@pytest.mark.parametrize(
+    "kind,status,witness",
+    [("perfect_oracle", "equivalent", None), ("corrupting_oracle", "not_equivalent", "0")],
+)
+def test_regex_record_without_an_alphabet_uses_the_digits(kind, status, witness):
+    from formaltrip.storage import dataset_record_from_json
+
+    record = dataset_record_from_json({
+        "id": "r0", "formalism": "regex", "grammar_id": "regex", "batch_index": 0,
+        "category_metric": "cfg_depth", "category_value": 2, "expression": "01*",
+        "cfg_depth": 2, "vocabulary": {}, "seed": 1,
+    })
+    out = round_trip(record, Provider(ProviderConfig(kind=kind)), load_template_set("regex", 0))
+    assert out.noncompliant_reason is None
+    assert out.alphabet is None
+    assert (out.verdict_status, out.verdict_witness) == (status, witness)
+
+
 def test_noncompliant_reply_short_circuits():
     records = dataset()
     templates = load_template_set("prop", 0)

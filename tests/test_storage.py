@@ -159,3 +159,48 @@ def test_config_hash_changes_only_with_semantics():
 
 def test_dumps_is_stable():
     assert storage.dumps({"b": 1, "a": [1, 2]}) == '{"a": [1,2],"b": 1}'
+
+
+def test_records_serialize_to_the_bytes_of_a_deep_copy(tmp_path):
+    from dataclasses import asdict
+
+    from formaltrip.pipeline.runner import RoundTripRecord, witness_payload
+    from formaltrip.verify.fol import FiniteModel
+    from formaltrip.verify.verdict import not_equivalent
+
+    model = FiniteModel(2, {"c1": 0}, {"pred1": frozenset({(0, 1), (1, 1)}), "pred2": frozenset()})
+    base = dict(
+        grammar_id="g", batch_index=0, category_metric="operator_total", category_value=3,
+        model="m", prompt_ids=["a", "b"], interpretation="text", raw_reply="reply",
+        noncompliant_reason=None, verdict_status="not_equivalent", verdict_reason=None,
+        timings={"interpret_seconds": 0.25, "compile_seconds": 0.5},
+        tokens={"interpret_prompt": 12, "interpret_completion": 7},
+    )
+    records = [
+        RoundTripRecord(
+            record_id="p", formalism="prop", expression="p1 ∧ p2", parsed="p1 ∨ p2",
+            verdict_witness={"p1": True, "p2": False}, **base,
+        ),
+        RoundTripRecord(
+            record_id="r", formalism="regex", expression="01*", parsed="01", alphabet=["0", "1"],
+            verdict_witness="011", **base,
+        ),
+        RoundTripRecord(
+            record_id="f", formalism="fol", expression="pred1(c1, c1)", parsed="pred2(c1)",
+            verdict_witness=witness_payload(not_equivalent(witness=model)), **base,
+        ),
+    ]
+    for r in records:
+        assert storage.dumps(storage.round_trip_to_json(r)) == storage.dumps({**asdict(r), "kind": "round_trip"})
+    judged = JudgeRecord(
+        pair_id="j", formalism="fol", formula1="pred1(c1)", formula2="¬pred1(c1)",
+        ground_truth="not_equivalent", answer="no", reply="[Answer] no", error=None,
+    )
+    assert storage.dumps(storage.judge_to_json(judged)) == storage.dumps({**asdict(judged), "kind": "judge"})
+
+    header = storage.result_header("m", {}, None, True)
+    path = tmp_path / "results.jsonl"
+    with storage.ResultWriter(path, header) as writer:
+        for r in records:
+            writer.write(storage.round_trip_to_json(r))
+    assert storage.read_results(path)[1] == records

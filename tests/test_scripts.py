@@ -1,5 +1,6 @@
 """Smoke tests that run the maintenance scripts under scripts/ as a user would."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -16,3 +17,19 @@ def test_oracle_validation_passes_on_every_family():
     for family in ("ksat3", "prop", "fol", "fol_english", "regex"):
         assert f"\n{family} " in done.stdout
     assert "harness validated" in done.stdout
+
+
+def test_make_replay_fixture_reproduces_the_committed_set(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "make_replay_fixture", SCRIPTS / "make_replay_fixture.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    committed = SCRIPTS.parent / "tests" / "data" / "replay"
+    out = tmp_path / "replay"
+    monkeypatch.setattr(script, "DATA_DIR", out)
+    assert script.main() == 0
+    names = sorted(p.name for p in committed.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (committed / name).read_bytes(), name

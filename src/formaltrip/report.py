@@ -15,6 +15,7 @@ from .grammar.dataset import check_metric, expression_metric_value
 from .pipeline.runner import JudgeRecord, RoundTripRecord
 from .storage import dumps
 from .syntax import parse_expression
+from .syntax.parse import DIGIT_ALPHABET
 
 
 def r4(x: float) -> float:
@@ -26,9 +27,9 @@ def rebucket(records: list[RoundTripRecord], metric: str) -> list[RoundTripRecor
     out = []
     for r in records:
         check_metric(metric, r.formalism)
-        alphabet = set(r.alphabet) if r.alphabet else None
+        alphabet = frozenset(r.alphabet) if r.alphabet else DIGIT_ALPHABET
         expr = parse_expression(r.formalism, r.expression, alphabet)
-        value = expression_metric_value(expr, metric, cfg_depth=r.cfg_depth, alphabet=alphabet or ())
+        value = expression_metric_value(expr, metric, cfg_depth=r.cfg_depth, alphabet=alphabet)
         out.append(replace(r, category_metric=metric, category_value=value))
     return out
 

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import formaltrip
+from formaltrip import cli
 from formaltrip.cli import main
+from formaltrip.grammar import GenerationConfig, VocabularyConfig
 
 
 def run_cli(*argv):
@@ -35,6 +37,19 @@ def test_generate_writes_batches_and_manifest(dataset_dir):
     ]
     manifest = json.loads((dataset_dir / "prop_operator_total_manifest.json").read_text())
     assert manifest["total"] > 0
+
+
+def test_generate_defaults_are_the_config_defaults(tmp_path, monkeypatch):
+    seen = {}
+
+    def fake_generate(grammar, vocab, gen):
+        seen.update(vocab=vocab, gen=gen)
+        raise ValueError("stop before generating")
+
+    monkeypatch.setattr(cli, "generate_dataset", fake_generate)
+    assert run_cli("generate", "--grammar", "prop", "--output-dir", tmp_path) == 3
+    assert seen["vocab"] == VocabularyConfig()
+    assert seen["gen"] == GenerationConfig(metric="operator_total", seed=0)
 
 
 @pytest.mark.parametrize(
@@ -268,6 +283,24 @@ def test_report_rebucket_by_flag(tmp_path):
     ) == 0
     summary2 = json.loads((run_dir / "summary.json").read_text())
     assert summary2["category_metric"] == "operator_total"
+
+
+@pytest.mark.parametrize("metric,value", [("dfa_nodes", 3), ("dfa_edges", 5), ("dfa_density", 0.8)])
+def test_report_rebuckets_a_regex_record_without_an_alphabet(tmp_path, metric, value):
+    # a record without an alphabet was parsed under the digits, so its DFA
+    # is measured over the digits too
+    result = tmp_path / "results.jsonl"
+    record = {
+        "record_id": "r0", "formalism": "regex", "grammar_id": "regex", "batch_index": 0,
+        "category_metric": "cfg_depth", "category_value": 2, "expression": "01*",
+        "model": "perfect-oracle", "alphabet": None, "parsed": "01*",
+        "verdict_status": "equivalent",
+    }
+    result.write_text(json.dumps({"kind": "header"}) + "\n" + json.dumps(record) + "\n")
+    run_dir = tmp_path / "run"
+    assert run_cli("report", "--results", result, "--by", metric, "--output-dir", run_dir) == 0
+    summary = json.loads((run_dir / "summary.json").read_text())
+    assert list(summary["categories"]) == [str(value)]
 
 
 @pytest.mark.parametrize("metric", ["dfa_density", "bogus"])

@@ -63,6 +63,14 @@ def main(argv=None) -> int:
         return 3
 
 
+# every vocabulary setting but the naming mode, which --grammar fol_english picks
+_VOCAB_FIELDS = [f for f in fields(VocabularyConfig) if f.name != "naming_mode"]
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="formaltrip",
@@ -85,21 +93,15 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", parents=[common], help="synthesize a dataset from a grammar")
     g.add_argument("--grammar", required=True,
                    help="ksat3 | prop | fol | fol_english | regex | path to a rule file")
-    g.add_argument("--depth", type=int, default=40)
-    g.add_argument("--branching", type=int, default=200)
-    g.add_argument("--sample-count", type=int, default=50)
-    g.add_argument("--batches", type=int, default=10)
+    generation = GenerationConfig()
+    for name in ("depth", "branching", "sample_count", "batches"):
+        g.add_argument(_flag(name), type=int, default=getattr(generation, name))
     g.add_argument("--metric", default=None,
                    help="operator_total | cfg_depth | and_count | or_count | "
                         "not_count | dfa_nodes | dfa_edges | dfa_density")
-    g.add_argument("--num-propositions", type=int, default=12)
-    g.add_argument("--num-predicates", type=int, default=8)
-    g.add_argument("--num-objects", type=int, default=12)
-    g.add_argument("--min-predicate-arity", type=int, default=1)
-    g.add_argument("--max-predicate-arity", type=int, default=2)
-    g.add_argument("--free-variable-prob", type=float, default=0.25)
-    g.add_argument("--max-free-variables", type=int, default=None)
-    g.add_argument("--alphabet-size", type=int, default=2)
+    for f in _VOCAB_FIELDS:
+        g.add_argument(_flag(f.name), type=float if isinstance(f.default, float) else int,
+                       default=f.default)
     g.set_defaults(func=cmd_generate)
 
     r = sub.add_parser("run", parents=[common], help="round-trip a dataset through a provider")
@@ -210,25 +212,15 @@ def _expand_paths(patterns) -> list[Path]:
 
 def cmd_generate(args) -> int:
     name = args.grammar
-    vocab_kwargs = dict(
-        num_propositions=args.num_propositions,
-        num_predicates=args.num_predicates,
-        num_objects=args.num_objects,
-        min_predicate_arity=args.min_predicate_arity,
-        max_predicate_arity=args.max_predicate_arity,
-        free_variable_prob=args.free_variable_prob,
-        max_free_variables=args.max_free_variables,
-        alphabet_size=args.alphabet_size,
-    )
+    vocab_kwargs = {f.name: getattr(args, f.name) for f in _VOCAB_FIELDS}
     if name == "fol_english":
         grammar = BUILTIN_GRAMMARS["fol"]
-        vocab = VocabularyConfig(naming_mode="english", **vocab_kwargs)
+        vocab_kwargs["naming_mode"] = "english"
     elif name in BUILTIN_GRAMMARS:
         grammar = BUILTIN_GRAMMARS[name]
-        vocab = VocabularyConfig(**vocab_kwargs)
     else:
         grammar = load_grammar(Path(name).read_text(encoding="utf-8"), Path(name).stem)
-        vocab = VocabularyConfig(**vocab_kwargs)
+    vocab = VocabularyConfig(**vocab_kwargs)
     metric = args.metric or ("cfg_depth" if infer_formalism(grammar) == "regex" else "operator_total")
     gen = GenerationConfig(
         depth=args.depth,

@@ -20,7 +20,6 @@ from .regex import (
     determinize_minimize,
     dfa_metrics,
     equivalent_regex,
-    export_edge_list,
     nfa_accepts,
     to_nfa,
 )
@@ -32,7 +31,7 @@ __all__ = [
     "ProverBudget", "Status", "clausify", "compile_regex",
     "determinize_minimize", "dfa_metrics", "equivalent", "equivalent_fol",
     "equivalent_prop", "equivalent_regex", "eval_in_model", "eval_prop",
-    "export_edge_list", "find_countermodel", "nfa_accepts", "not_equivalent",
+    "find_countermodel", "nfa_accepts", "not_equivalent",
     "resolution_refute", "to_nfa", "universal_closure", "unknown",
 ]
 

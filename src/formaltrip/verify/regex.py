@@ -256,14 +256,3 @@ def dfa_metrics(dfa: Dfa) -> DfaMetrics:
     density = 0.0 if v == 1 else round(e / (v * (v - 1)), 1)
     return DfaMetrics(node_count=v, edge_count=e, density=density)
 
-
-def export_edge_list(dfa: Dfa) -> str:
-    """Plain-text debugging dump: headers plus `state symbol state` lines."""
-    lines = [
-        "start: " + str(dfa.start),
-        "accept: " + " ".join(str(s) for s in sorted(dfa.accepting)),
-    ]
-    for s in range(dfa.n_states):
-        for a, sym in enumerate(dfa.alphabet):
-            lines.append(f"{s} {sym} {dfa.transitions[s][a]}")
-    return "\n".join(lines) + "\n"

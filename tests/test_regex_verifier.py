@@ -21,7 +21,6 @@ from formaltrip.verify import (
     dfa_metrics,
     determinize_minimize,
     equivalent_regex,
-    export_edge_list,
     nfa_accepts,
     to_nfa,
 )
@@ -345,10 +344,3 @@ def test_metrics_density_unclamped():
     m = dfa_metrics(compile_regex(parse_regex("1*"), SIGMA))
     assert (m.node_count, m.edge_count, m.density) == (2, 3, 1.5)
 
-
-def test_edge_list_export():
-    dump = export_edge_list(compile_regex(parse_regex("0"), SIGMA))
-    lines = dump.strip().splitlines()
-    assert lines[0].startswith("start: ")
-    assert lines[1].startswith("accept: ")
-    assert len(lines) == 2 + 3 * 2  # 3 states x 2 symbols

@@ -58,9 +58,9 @@ class NlCodecError(ValueError):
 def describe(expr: FormalExpression) -> str:
     if expr.formalism not in _ENTRIES:
         raise ValueError(f"unknown formalism {expr.formalism!r}")
-    node, prefix = expr.ast, ""
     if expr.formalism != "fol":
-        return _render(node)
+        return _render(expr.ast)
+    node, prefix = expr.ast, ""
     while type(node) is Quantified:  # the root chain is rendered without groups
         prefix += _QUANTIFIER_TEXT[node.kind].format(" and ".join(node.variables))
         node = node.body

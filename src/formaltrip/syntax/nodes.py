@@ -4,6 +4,15 @@ All nodes are frozen dataclasses so structural equality and hashing come
 for free; children are stored as tuples. Logic connectives (Not/And/Or)
 are shared between propositional and first-order formulas; a first-order
 formula is its logic tree, with Quantified nodes for its quantifiers.
+
+Every tree node is slotted, so it carries no per-instance `__dict__`: a
+generated dataset holds millions of them. A parse builds each distinct
+Proposition, term and Atom once and shares it wherever it recurs, so two
+equal nodes may or may not be one object: compare nodes with `==`, never
+with `is`, and never key on `id()`. FormalExpression is not slotted
+because `parse_expression` holds expressions in a weak table, and a
+slotted dataclass takes a weakref slot only from Python 3.11
+(`weakref_slot`), while the package supports 3.10.
 """
 
 from __future__ import annotations
@@ -23,23 +32,23 @@ FORMALISMS = (PROP, FOL, REGEX)
 # ---------------------------------------------------------------------------
 # logic nodes (shared by prop and fol)
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proposition:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     predicate: str
     terms: tuple["Term", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constant:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Variable:
     name: str
 
@@ -47,12 +56,12 @@ class Variable:
 Term = Constant | Variable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     child: "LogicNode"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     children: tuple["LogicNode", ...]
 
@@ -61,7 +70,7 @@ class And:
             raise ValueError("And requires at least 2 children")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     children: tuple["LogicNode", ...]
 
@@ -70,7 +79,7 @@ class Or:
             raise ValueError("Or requires at least 2 children")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Quantified:
     """One quantifier block over its body. A first-order formula's prefix is
     the chain of Quantified nodes at its root, one node per block."""
@@ -86,12 +95,12 @@ LogicNode = Proposition | Atom | Not | And | Or | Quantified
 # ---------------------------------------------------------------------------
 # regex nodes
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     symbol: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Concat:
     children: tuple["RegexAst", ...]
 
@@ -100,7 +109,7 @@ class Concat:
             raise ValueError("Concat requires at least 2 children")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Star:
     child: "RegexAst"
 

@@ -147,7 +147,10 @@ def _parse_logic(text: str, fol: bool) -> LogicNode:
 class _LogicParser:
     """Recursive descent over a token list that ends with `_END`. Any token
     that is neither an identifier nor an operator stops every rule, so a
-    parse that succeeds has met none."""
+    parse that succeeds has met none.
+
+    Leaves are hash-consed within the parse: each distinct Proposition,
+    term and Atom is built once and shared by every later occurrence."""
 
     def __init__(self, toks: list[str], fol: bool):
         self.toks = toks
@@ -155,6 +158,15 @@ class _LogicParser:
         self.fol = fol
         self.scopes: list[set[str]] = []
         self.depth = 0
+        self.leaves: dict[tuple, LogicNode | Constant | Variable] = {}
+
+    def leaf(self, cls, *fields):
+        """The one `cls(*fields)` of this parse, built on first use."""
+        key = (cls, *fields)
+        node = self.leaves.get(key)
+        if node is None:
+            node = self.leaves[key] = cls(*fields)
+        return node
 
     def nested(self, rule) -> LogicNode:
         """`rule()` one nesting level down."""
@@ -204,7 +216,7 @@ class _LogicParser:
             self.i += 1
             return node
         if tok[:1] in _IDENT_START and cls is None:  # a keyword names no atom
-            return self.predicate(tok) if self.fol else Proposition(tok)
+            return self.predicate(tok) if self.fol else self.leaf(Proposition, tok)
         if tok == _END:
             raise _Failure("unexpected end of input", self.i - 1, "formula")
         raise _Failure(f"unexpected {tok!r}", self.i - 1, "atom")
@@ -239,21 +251,21 @@ class _LogicParser:
                 arg = self.take()
                 if arg[0] not in _IDENT_START:
                     raise _Failure(f"expected term, got {arg!r}", self.i - 1, "term")
-                terms.append(_classify_term(arg, self.scopes))
+                terms.append(self.term(arg))
                 sep = self.take()
                 if sep == ")":
                     break
                 if sep != ",":
                     raise _Failure(f"expected ',' or ')', got {sep!r}", self.i - 1, ", or )")
-        return Atom(name, tuple(terms))
+        # keyed on the built terms: a name is a Variable only inside its scope
+        return self.leaf(Atom, name, tuple(terms))
 
-
-def _classify_term(name: str, scopes: list[set[str]]) -> Constant | Variable:
-    # bound by an enclosing quantifier => variable; anything else is a constant
-    for scope in scopes:
-        if name in scope:
-            return Variable(name)
-    return Constant(name)
+    def term(self, name: str) -> Constant | Variable:
+        # bound by an enclosing quantifier => variable; anything else is a constant
+        for scope in self.scopes:
+            if name in scope:
+                return self.leaf(Variable, name)
+        return self.leaf(Constant, name)
 
 
 # ---------------------------------------------------------------------------

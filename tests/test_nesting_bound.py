@@ -94,3 +94,17 @@ DEPTH_40 = {
 @pytest.mark.parametrize("formalism,text", DEPTH_40.values(), ids=DEPTH_40)
 def test_bound_admits_depth_40_derivations(formalism, text):
     assert isinstance(parse_expression(formalism, text), FormalExpression)
+
+
+# A conjunction of quantified conjuncts nests one level per quantifier when
+# parsed, but its canonical text wraps every '∧' and every quantifier below
+# the root in parentheses, three levels per conjunct. So a formula that
+# parses can print to a text that does not: a dataset or results line that
+# `read_dataset`, `judge --balance` or the oracles cannot read back.
+QUANTIFIED_CHAIN = "pred1(c) ∧ " + " ∧ ".join(f"∀ x{i}. pred1(x{i})" for i in range(1, 41))
+
+
+@pytest.mark.xfail(strict=True, raises=ParseError, reason="canonical text nests 120 levels")
+def test_canonical_text_of_a_parsed_formula_parses():
+    expr = parse_expression("fol", QUANTIFIED_CHAIN)
+    assert parse_expression("fol", expr.canonical_text) == expr

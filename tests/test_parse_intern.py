@@ -1,14 +1,30 @@
 """parse_expression returns the live expression for a canonical text it has
-already parsed, keyed by formalism, text and regex alphabet."""
+already parsed, keyed by formalism, text and regex alphabet. Within one
+parse, equal leaves are one object, and no tree node has a `__dict__`."""
 
 import gc
 import sys
 import threading
+import weakref
 
 import pytest
 
 from formaltrip.syntax import ParseError, make_expression, parse_expression, parse_fol, parse_prop
 from formaltrip.syntax import parse as parse_module
+from formaltrip.syntax.nodes import (
+    FORALL,
+    And,
+    Atom,
+    Concat,
+    Constant,
+    Literal,
+    Not,
+    Or,
+    Proposition,
+    Quantified,
+    Star,
+    Variable,
+)
 
 
 def live_keys():
@@ -90,3 +106,47 @@ def test_concurrent_parses_equal_a_serial_parse():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [serial] * 4
+
+
+# ---------------------------------------------------------------------------
+# compact trees: slotted nodes, and one object per distinct leaf of a parse
+
+def test_nodes_are_slotted():
+    nodes = [
+        Proposition("p1"), Constant("c1"), Variable("x1"),
+        Atom("pred1", (Constant("c1"),)), Not(Proposition("p1")),
+        And((Proposition("p1"), Proposition("p2"))),
+        Or((Proposition("p1"), Proposition("p2"))),
+        Quantified(FORALL, ("x1",), Atom("pred1", (Variable("x1"),))),
+        Literal("0"), Concat((Literal("0"), Literal("1"))), Star(Literal("0")),
+    ]
+    assert len({type(node) for node in nodes}) == 11
+    for node in nodes:
+        assert not hasattr(node, "__dict__"), type(node).__name__
+
+
+def test_an_expression_can_still_be_held_weakly():
+    expr = parse_expression("prop", "(p1 ∧ ¬p9)")
+    assert weakref.ref(expr)() is expr
+
+
+def test_a_parse_shares_equal_propositions():
+    ast = parse_prop("((p1 ∧ p2) ∨ (p1 ∧ ¬p2))")
+    left, right = ast.children
+    assert left.children[0] is right.children[0]
+    assert left.children[1] is right.children[1].child
+
+
+def test_a_parse_shares_equal_atoms():
+    ast = parse_fol("∀ x1. (pred1(x1, c1) ∨ ¬pred1(x1, c1))")
+    first, negated = ast.body.children
+    assert first is negated.child
+    assert first.terms == (Variable("x1"), Constant("c1"))
+
+
+def test_an_atom_is_shared_by_its_terms_not_its_names():
+    ast = parse_fol("(pred1(x1) ∧ ∀ x1. pred1(x1))")
+    free, quantified = ast.children
+    assert free == Atom("pred1", (Constant("x1"),))
+    assert quantified.body == Atom("pred1", (Variable("x1"),))
+    assert free != quantified.body

@@ -17,6 +17,7 @@ from pathlib import Path
 from . import report as report_mod
 from . import storage
 from .grammar import (
+    ALL_METRICS,
     BUILTIN_GRAMMARS,
     GenerationConfig,
     VocabularyConfig,
@@ -96,9 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     generation = GenerationConfig()
     for name in ("depth", "branching", "sample_count", "batches"):
         g.add_argument(_flag(name), type=int, default=getattr(generation, name))
-    g.add_argument("--metric", default=None,
-                   help="operator_total | cfg_depth | and_count | or_count | "
-                        "not_count | dfa_nodes | dfa_edges | dfa_density")
+    g.add_argument("--metric", default=None, help=" | ".join(ALL_METRICS))
     for f in _VOCAB_FIELDS:
         g.add_argument(_flag(f.name), type=float if isinstance(f.default, float) else int,
                        default=f.default)

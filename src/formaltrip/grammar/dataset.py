@@ -13,21 +13,29 @@ import logging
 import random
 from dataclasses import dataclass, field
 
-from ..syntax import FormalExpression, complexity
+from ..syntax import FormalExpression
+from ..syntax.nodes import And, Not, Or, Star, walk
+from ..syntax.parse import AND_WORDS, NOT_WORDS, OR_WORDS
 from ..verify.regex import compile_regex, dfa_metrics
 from .cfg import GrammarSpec, infer_formalism
 from .derive import DerivationNode, GenerationConfig, grow_tree
-from .vocab import RealizedVocabulary, VocabularyConfig, instantiate, realize_vocabulary
+from .vocab import VocabularyConfig, instantiate, realize_vocabulary
 
 logger = logging.getLogger(__name__)
 
-PRE_INSTANTIATION_METRICS = (
-    "operator_total",
-    "and_count",
-    "or_count",
-    "not_count",
-    "cfg_depth",
-)
+# The operator counts: metric -> (the leaf tokens it counts, which are the
+# parser's own connective words, and the AST node types it counts). An
+# n-ary And/Or with k children counts k-1, as in its printed binary form;
+# quantifiers are not operators, and a regex's only operator is star.
+COUNT_METRICS = {
+    "operator_total": (
+        frozenset(NOT_WORDS | AND_WORDS | OR_WORDS | {"*"}), (Not, And, Or, Star),
+    ),
+    "and_count": (frozenset(AND_WORDS), (And,)),
+    "or_count": (frozenset(OR_WORDS), (Or,)),
+    "not_count": (frozenset(NOT_WORDS), (Not,)),
+}
+PRE_INSTANTIATION_METRICS = (*COUNT_METRICS, "cfg_depth")
 DFA_METRICS = ("dfa_nodes", "dfa_edges", "dfa_density")
 ALL_METRICS = PRE_INSTANTIATION_METRICS + DFA_METRICS
 
@@ -61,13 +69,10 @@ class DatasetManifest:
 def leaf_metric_value(leaf: DerivationNode, metric: str) -> int:
     if metric == "cfg_depth":
         return leaf.depth
-    counts = {"and_count": "∧", "or_count": "∨", "not_count": "¬"}
-    if metric in counts:
-        return sum(1 for s in leaf.sentential_form if s == counts[metric])
-    if metric == "operator_total":
-        # logic counts connectives; the regex grammar's only operator is star
-        return sum(1 for s in leaf.sentential_form if s in ("∧", "∨", "¬", "*"))
-    raise ValueError(f"metric {metric!r} is not leaf-computable")
+    if metric not in COUNT_METRICS:
+        raise ValueError(f"metric {metric!r} is not leaf-computable")
+    words = COUNT_METRICS[metric][0]
+    return sum(1 for s in leaf.sentential_form if s in words)
 
 
 def expression_metric_value(
@@ -75,15 +80,19 @@ def expression_metric_value(
 ) -> int | float:
     if metric == "cfg_depth":
         return cfg_depth
-    if metric in DFA_METRICS:
-        m = dfa_metrics(compile_regex(expr.ast, alphabet))
-        return {
-            "dfa_nodes": m.node_count,
-            "dfa_edges": m.edge_count,
-            "dfa_density": m.density,
-        }[metric]
-    profile = complexity(expr, cfg_depth=cfg_depth)
-    return profile.value(metric)
+    if metric in COUNT_METRICS:
+        types = COUNT_METRICS[metric][1]
+        return sum(
+            len(node.children) - 1 if type(node) in (And, Or) else 1
+            for node in walk(expr.ast)
+            if type(node) in types
+        )
+    m = dfa_metrics(compile_regex(expr.ast, alphabet))
+    return {
+        "dfa_nodes": m.node_count,
+        "dfa_edges": m.edge_count,
+        "dfa_density": m.density,
+    }[metric]
 
 
 def check_metric(metric: str, formalism: str) -> None:
@@ -124,9 +133,10 @@ def generate_dataset(
 
     grow_tree(grammar, gen_config, rng, on_leaf=on_leaf)
 
-    picked: list[tuple[int | float, FormalExpression, int]] = []
+    records: list[DatasetRecord] = []
     categories: dict = {}
     warnings: list[str] = []
+    snapshot = realized.snapshot()
     for value in sorted(reservoirs):
         chosen = reservoirs[value]
         take = len(chosen)
@@ -141,35 +151,30 @@ def generate_dataset(
         for item in chosen:
             if metric in PRE_INSTANTIATION_METRICS:
                 expr = instantiate(item, realized, vocab_config, rng, formalism)
-                recomputed = expression_metric_value(
-                    expr, metric, item.depth, realized.alphabet
-                )
+                depth = item.depth
+                recomputed = expression_metric_value(expr, metric, depth, realized.alphabet)
+                # a rule file's terminal such as "∧v" hides a connective from the leaf count
                 if recomputed != value:
-                    raise AssertionError(
+                    raise ValueError(
                         f"metric drifted during instantiation: {value} -> {recomputed}"
                     )
-                picked.append((value, expr, item.depth))
             else:
                 expr, depth = item
-                picked.append((value, expr, depth))
-
-    records: list[DatasetRecord] = []
-    snapshot = realized.snapshot()
-    for i, (value, expr, depth) in enumerate(picked):
-        records.append(
-            DatasetRecord(
-                id=f"{grammar.id}-{metric}-{_slug(value)}-{i:05d}",
-                formalism=formalism,
-                grammar_id=grammar.id,
-                batch_index=i % gen_config.batches,
-                category_metric=metric,
-                category_value=value,
-                expression=expr,
-                cfg_depth=depth,
-                vocabulary=snapshot,
-                seed=gen_config.seed,
+            i = len(records)
+            records.append(
+                DatasetRecord(
+                    id=f"{grammar.id}-{metric}-{_slug(value)}-{i:05d}",
+                    formalism=formalism,
+                    grammar_id=grammar.id,
+                    batch_index=i % gen_config.batches,
+                    category_metric=metric,
+                    category_value=value,
+                    expression=expr,
+                    cfg_depth=depth,
+                    vocabulary=snapshot,
+                    seed=gen_config.seed,
+                )
             )
-        )
     manifest = DatasetManifest(
         grammar_id=grammar.id,
         metric=metric,

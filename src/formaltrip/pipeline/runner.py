@@ -14,11 +14,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..grammar.dataset import DatasetRecord
-from ..syntax import FormalExpression, NonCompliant, extract_formal
+from ..syntax import NonCompliant, extract_formal
 from ..verify import ProverBudget, verify_pair
 from ..verify.fol import FiniteModel
-from ..verify.verdict import EquivalenceVerdict, Status
-from .providers import Provider, ProviderError, TransportError
+from ..verify.verdict import EquivalenceVerdict
+from .providers import Provider, ProviderError
 from .templates import (
     TemplateSet,
     compile_context,

@@ -20,8 +20,6 @@ COMPILE = "compile"
 JUDGE_COT = "judge_cot"
 JUDGE_YESNO = "judge_yesno"
 
-DIRECTIONS = (INTERPRET, COMPILE, JUDGE_COT, JUDGE_YESNO)
-
 
 class MissingPlaceholder(KeyError):
     pass

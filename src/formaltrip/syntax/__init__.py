@@ -1,6 +1,5 @@
-"""ASTs, parsers, printers, complexity measures, and LLM-output extraction."""
+"""ASTs, parsers, printers, and LLM-output extraction."""
 
-from .complexity import complexity
 from .extract import NonCompliant, extract_formal
 from .nodes import (
     EXISTS,
@@ -11,7 +10,6 @@ from .nodes import (
     REGEX,
     And,
     Atom,
-    ComplexityProfile,
     Concat,
     Constant,
     FormalExpression,
@@ -33,10 +31,10 @@ from .simplify import simplify_expression
 
 __all__ = [
     "EXISTS", "FOL", "FORALL", "FORMALISMS", "PROP", "REGEX",
-    "And", "ArityError", "Atom", "ComplexityProfile", "Concat", "Constant",
+    "And", "ArityError", "Atom", "Concat", "Constant",
     "FormalExpression", "Literal", "LogicNode", "NonCompliant", "Not", "Or",
     "ParseError", "Proposition", "Quantified", "RegexAst", "Star",
-    "Variable", "canonical_text", "complexity",
+    "Variable", "canonical_text",
     "extract_formal", "flatten_and", "flatten_or", "make_expression",
     "parse_expression", "parse_fol", "parse_prop", "parse_regex",
     "simplify_expression",

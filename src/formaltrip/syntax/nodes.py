@@ -132,26 +132,6 @@ class FormalExpression:
     canonical_text: str
 
 
-@dataclass
-class ComplexityProfile:
-    """Operator counts plus optional derivation/automaton measures."""
-
-    operator_total: int = 0
-    and_count: int = 0
-    or_count: int = 0
-    not_count: int = 0
-    cfg_depth: int | None = None
-    dfa_nodes: int | None = None
-    dfa_edges: int | None = None
-    dfa_density: float | None = None
-
-    def value(self, metric: str) -> int | float:
-        v = getattr(self, metric)
-        if v is None:
-            raise ValueError(f"metric {metric!r} not available on this profile")
-        return v
-
-
 # ---------------------------------------------------------------------------
 # traversal: the only code that knows which fields of a node are subtrees
 

@@ -18,7 +18,6 @@ from .nodes import (
     FORALL,
     PROP,
     REGEX,
-    And,
     Atom,
     Concat,
     Constant,
@@ -26,7 +25,6 @@ from .nodes import (
     Literal,
     LogicNode,
     Not,
-    Or,
     Proposition,
     Quantified,
     RegexAst,

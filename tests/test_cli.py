@@ -99,6 +99,33 @@ def test_custom_grammar_file(tmp_path):
     assert rows and all('"formalism": "toy"' not in r for r in rows)
 
 
+def _generate_from(tmp_path, rules_text, stem):
+    rules = tmp_path / f"{stem}.cfg"
+    rules.write_text(rules_text, encoding="utf-8")
+    return run_cli(
+        "generate", "--grammar", rules, "--depth", "4", "--branching", "10",
+        "--sample-count", "2", "--batches", "1", "--seed", "3",
+        "--output-dir", tmp_path / "ds",
+    )
+
+
+def test_rule_file_may_spell_connectives_with_the_parsers_words(tmp_path):
+    # leaf counts read the parser's connective words, so they agree with
+    # the counts of the instantiated formula
+    assert _generate_from(tmp_path, "S -> ( S and S ) | not v | v\n", "words") == 0
+    batch = tmp_path / "ds" / "words_operator_total_batch0.jsonl"
+    rows = [json.loads(line) for line in batch.read_text().splitlines()]
+    assert max(r["category_value"] for r in rows) > 1
+    for r in rows:
+        assert r["category_value"] == sum(r["expression"].count(g) for g in "∧∨¬")
+
+
+def test_connective_glued_into_a_terminal_is_an_error(tmp_path, capsys):
+    # no word table sees the ∧ inside the terminal "∧v"; the drift check does
+    assert _generate_from(tmp_path, "S -> v ∧v\n", "glued") == 3
+    assert "error: metric drifted during instantiation: 0 -> 1" in capsys.readouterr().err
+
+
 REGEX_RULES = "S -> ( S ) K\nS -> S Σ K\nS -> Σ K\nK -> * | ε\n"
 
 

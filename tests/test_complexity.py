@@ -1,13 +1,16 @@
 import random
 import re
+from types import SimpleNamespace
 
 from conftest import random_prop
-from formaltrip.syntax import complexity, parse_expression
+from formaltrip.grammar.dataset import COUNT_METRICS, expression_metric_value
+from formaltrip.syntax import parse_expression
 from formaltrip.syntax.printer import print_logic
 
 
 def profile(text, formalism="prop"):
-    return complexity(parse_expression(formalism, text))
+    expr = parse_expression(formalism, text)
+    return SimpleNamespace(**{m: expression_metric_value(expr, m, None, None) for m in COUNT_METRICS})
 
 
 def test_mixed_operator_counts():
@@ -48,4 +51,4 @@ def test_total_equals_glyphs_in_canonical_print():
         ast = random_prop(rng)
         expr = parse_expression("prop", print_logic(ast))
         glyphs = len(re.findall(r"[∧∨¬]", expr.canonical_text))
-        assert complexity(expr).operator_total == glyphs
+        assert expression_metric_value(expr, "operator_total", None, None) == glyphs

@@ -11,12 +11,19 @@ from formaltrip.grammar import (
     VocabularyConfig,
     generate_dataset,
     grow_tree,
+    infer_formalism,
     instantiate,
+    load_grammar,
     realize_vocabulary,
     recognize,
 )
-from formaltrip.grammar.dataset import _reservoir_add
-from formaltrip.syntax import complexity, parse_expression
+from formaltrip.grammar.dataset import (
+    COUNT_METRICS,
+    _reservoir_add,
+    expression_metric_value,
+    leaf_metric_value,
+)
+from formaltrip.syntax import parse_expression
 from formaltrip.syntax.nodes import Constant, Variable, Atom, And, Or, Not, Quantified
 
 
@@ -190,8 +197,26 @@ def test_round_robin_batching():
 def test_category_value_matches_recomputed_complexity():
     records, _ = generate_dataset(PROP, VocabularyConfig(), small())
     for r in records:
-        profile = complexity(r.expression, cfg_depth=r.cfg_depth)
-        assert profile.value(r.category_metric) == r.category_value
+        value = expression_metric_value(r.expression, r.category_metric, r.cfg_depth, None)
+        assert value == r.category_value
+
+
+@pytest.mark.parametrize("grammar", [
+    KSAT3, PROP, FOL, REGEX, load_grammar("S -> ( S and S ) | not v | v", "words"),
+], ids=lambda g: g.id)
+def test_leaf_counts_agree_with_expression_counts(grammar):
+    formalism = infer_formalism(grammar)
+    vocab = VocabularyConfig()
+    rng = random.Random(7)
+    realized = realize_vocabulary(vocab, rng)
+    leaves = leaves_of(grammar, small(depth=5, branching=10), 7)
+    assert leaves
+    for leaf in leaves:
+        expr = instantiate(leaf, realized, vocab, rng, formalism)
+        for metric in COUNT_METRICS:
+            assert leaf_metric_value(leaf, metric) == expression_metric_value(
+                expr, metric, leaf.depth, realized.alphabet
+            ), (metric, leaf.sentential_form)
 
 
 def test_determinism_across_runs():

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from formaltrip.grammar.dataset import expression_metric_value
 from formaltrip.pipeline import nl_codec
 from formaltrip.pipeline.providers import corrupt_expression
 from formaltrip.pipeline.templates import vocabulary_block
@@ -19,7 +20,6 @@ from formaltrip.syntax import (
     FormalExpression,
     NonCompliant,
     ParseError,
-    complexity,
     extract_formal,
     parse_expression,
     simplify_expression,
@@ -68,7 +68,7 @@ AT_BOUND = {
 def test_every_stage_runs_at_the_bound(formalism, reply):
     expr = extract_formal(reply, formalism)
     assert isinstance(expr, FormalExpression)
-    complexity(expr)
+    expression_metric_value(expr, "operator_total", None, None)
     vocabulary_block(expr)
     twin = simplify_expression(expr)
     corrupted = corrupt_expression(expr, random.Random(0))

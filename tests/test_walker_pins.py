@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from formaltrip.grammar.dataset import expression_metric_value
 from formaltrip.pipeline.providers import corrupt_expression
 from formaltrip.pipeline.templates import vocabulary_block
 from formaltrip.syntax import (
@@ -26,7 +27,6 @@ from formaltrip.syntax import (
     Or,
     Quantified,
     Variable,
-    complexity,
     make_expression,
     parse_expression,
     parse_fol,
@@ -268,8 +268,9 @@ def _expression(formalism, source):
 def test_walker_outputs(formalism, source, expected):
     expr = _expression(formalism, source)
     assert expr.canonical_text == expected["text"]
-    p = complexity(expr)
-    assert (p.operator_total, p.and_count, p.or_count, p.not_count) == expected["complexity"]
+    metrics = ("operator_total", "and_count", "or_count", "not_count")
+    counts = tuple(expression_metric_value(expr, m, None, None) for m in metrics)
+    assert counts == expected["complexity"]
     assert vocabulary_block(expr) == expected["vocabulary"]
     if formalism == "prop":
         assert sorted(variables(expr.ast)) == expected["symbols"]

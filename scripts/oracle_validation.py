@@ -24,7 +24,7 @@ from formaltrip.grammar import (  # noqa: E402
     generate_dataset,
     infer_formalism,
 )
-from formaltrip.metrics import accuracy, compliance  # noqa: E402
+from formaltrip.metrics import tally  # noqa: E402
 from formaltrip.pipeline import (  # noqa: E402
     Provider,
     ProviderConfig,
@@ -73,8 +73,8 @@ def main() -> int:
         started = time.monotonic()
         results = run_round_trips(records, provider, templates)
         elapsed = time.monotonic() - started
-        comp, _ = compliance(results)
-        acc, _ = accuracy(results)
+        stats = tally(results)
+        comp, acc = stats.compliance, stats.accuracy
         print(f"{name:<14} {len(results):>8} {comp:>11.4f} {acc:>9.4f} {elapsed:>8.1f}")
         if comp != 1.0 or acc != 1.0:
             failures += 1

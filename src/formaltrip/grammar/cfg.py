@@ -32,17 +32,9 @@ class GrammarSpec:
         terminals = frozenset(
             sym for _, rhs in rules for sym in rhs if sym not in nonterminals
         )
-        spec = GrammarSpec(grammar_id, start, rules, nonterminals, terminals)
-        spec.validate()
-        return spec
-
-    def validate(self):
-        if self.start not in self.nonterminals:
-            raise ValueError(f"start symbol {self.start!r} has no production")
-        for lhs, rhs in self.rules:
-            for sym in rhs:
-                if sym not in self.nonterminals and sym not in self.terminals:
-                    raise ValueError(f"undeclared symbol {sym!r} in rule {lhs} -> {rhs}")
+        if start not in nonterminals:
+            raise ValueError(f"start symbol {start!r} has no production")
+        return GrammarSpec(grammar_id, start, rules, nonterminals, terminals)
 
 
 def _rules(text: str):
@@ -124,8 +116,6 @@ REGEX = GrammarSpec.build(
 
 BUILTIN_GRAMMARS = {"ksat3": KSAT3, "prop": PROP, "fol": FOL, "regex": REGEX}
 
-GRAMMAR_FORMALISM = {"ksat3": "prop", "prop": "prop", "fol": "fol", "regex": "regex"}
-
 
 def infer_formalism(grammar: GrammarSpec) -> str:
     """Map a grammar to a formalism by its placeholder terminals, never by
@@ -140,6 +130,9 @@ def infer_formalism(grammar: GrammarSpec) -> str:
         f"cannot infer a formalism for grammar {grammar.id!r}: expected "
         "placeholder terminals v/p/f/Σ"
     )
+
+
+GRAMMAR_FORMALISM = {gid: infer_formalism(g) for gid, g in BUILTIN_GRAMMARS.items()}
 
 
 # ---------------------------------------------------------------------------

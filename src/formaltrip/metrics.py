@@ -10,7 +10,7 @@ their own bucket and accuracy is also reported with them excluded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import fmean, pstdev, stdev
 
 from .pipeline.runner import JudgeRecord, RoundTripRecord
@@ -22,44 +22,63 @@ class MetricsError(ValueError):
 
 @dataclass
 class BucketStats:
+    """Counts for one group of round-trip records, and the ratios of them.
+
+    A transport-errored record measures the network, not the model, so it
+    counts only as `errored`; every other record is a scoreable sample.
+    """
+
     samples: int = 0
     compliant: int = 0
     equivalent: int = 0
     unknown: int = 0
     errored: int = 0
 
+    def add(self, record: RoundTripRecord) -> None:
+        if record.errored:
+            self.errored += 1
+            return
+        self.samples += 1
+        self.compliant += record.compliant
+        self.equivalent += record.verdict_status == "equivalent"
+        self.unknown += record.verdict_status == "unknown"
 
-@dataclass
-class CategoryBreakdown:
-    metric: str
-    buckets: dict = field(default_factory=dict)  # category value -> BucketStats
-
-    def bucket(self, value) -> BucketStats:
-        if value not in self.buckets:
-            self.buckets[value] = BucketStats()
-        return self.buckets[value]
-
-
-@dataclass
-class ConfusionMatrix:
-    tp: int = 0
-    fp: int = 0
-    tn: int = 0
-    fn: int = 0
-    unparseable: int = 0
+    def _of_samples(self, count: int) -> float:
+        if not self.samples:
+            raise MetricsError("no scoreable records")
+        return count / self.samples
 
     @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
+    def compliance(self) -> float:
+        return self._of_samples(self.compliant)
+
+    @property
+    def accuracy(self) -> float:
+        return self._of_samples(self.equivalent)
+
+    @property
+    def unknown_rate(self) -> float:
+        return self._of_samples(self.unknown)
+
+    @property
+    def accuracy_excluding_unknown(self) -> float | None:
+        """None when no sample has a decided verdict."""
+        decided = self.samples - self.unknown
+        return self.equivalent / decided if decided else None
+
+    @property
+    def accuracy_all_records(self) -> float:
+        """Alternative denominator counting errored records as failures."""
+        if not self.samples + self.errored:
+            raise MetricsError("no records")
+        return self.equivalent / (self.samples + self.errored)
 
 
-@dataclass
-class JudgeScores:
-    precision: float
-    sensitivity: float
-    specificity: float
-    f1: float
-    zero_denominator: set[str] = field(default_factory=set)
+def tally(records: list[RoundTripRecord]) -> BucketStats:
+    stats = BucketStats()
+    for r in records:
+        stats.add(r)
+    return stats
 
 
 @dataclass
@@ -71,107 +90,36 @@ class BatchStatistics:
     single_sample: bool = False
 
 
-def _scoreable(records: list[RoundTripRecord]) -> list[RoundTripRecord]:
-    """Transport-errored records measure the network, not the model."""
-    return [r for r in records if not r.errored]
-
-
-def _breakdown(records: list[RoundTripRecord]) -> CategoryBreakdown:
-    metric = records[0].category_metric if records else "operator_total"
-    breakdown = CategoryBreakdown(metric=metric)
-    for r in records:
-        b = breakdown.bucket(r.category_value)
-        if r.errored:
-            b.errored += 1
-            continue
-        b.samples += 1
-        if r.compliant:
-            b.compliant += 1
-        if r.verdict_status == "equivalent":
-            b.equivalent += 1
-        elif r.verdict_status == "unknown":
-            b.unknown += 1
-    return breakdown
-
-
-def compliance(records: list[RoundTripRecord]) -> tuple[float, CategoryBreakdown]:
-    scored = _scoreable(records)
-    if not scored:
-        raise MetricsError("no scoreable records")
-    value = sum(1 for r in scored if r.compliant) / len(scored)
-    return value, _breakdown(records)
-
-
-def accuracy(records: list[RoundTripRecord]) -> tuple[float, CategoryBreakdown]:
-    scored = _scoreable(records)
-    if not scored:
-        raise MetricsError("no scoreable records")
-    value = sum(1 for r in scored if r.verdict_status == "equivalent") / len(scored)
-    return value, _breakdown(records)
-
-
-def unknown_rate(records: list[RoundTripRecord]) -> float:
-    scored = _scoreable(records)
-    if not scored:
-        raise MetricsError("no scoreable records")
-    return sum(1 for r in scored if r.verdict_status == "unknown") / len(scored)
-
-
-def accuracy_excluding_unknown(records: list[RoundTripRecord]) -> float | None:
-    """None when no scoreable record has a decided verdict."""
-    scored = [r for r in _scoreable(records) if r.verdict_status != "unknown"]
-    if not scored:
-        return None
-    return sum(1 for r in scored if r.verdict_status == "equivalent") / len(scored)
-
-
-def accuracy_all_records(records: list[RoundTripRecord]) -> float:
-    """Alternative denominator counting transport-errored samples as failures."""
-    if not records:
-        raise MetricsError("no records")
-    return sum(1 for r in records if r.verdict_status == "equivalent") / len(records)
-
-
-def judge_scores(records: list[JudgeRecord]) -> tuple[ConfusionMatrix, JudgeScores]:
-    """Positive class is "equivalent"; an unparseable answer scores as the
-    wrong prediction against its ground truth."""
+def judge_scores(records: list[JudgeRecord]) -> dict:
+    """Confusion counts and scores of judge answers; the positive class is
+    "equivalent", and an unparseable answer counts as the wrong prediction.
+    A score whose denominator is zero is 1.0 and named in `zero_denominator`."""
     if not records:
         raise MetricsError("no judge records")
-    cm = ConfusionMatrix()
+    counts = dict.fromkeys(("tp", "fp", "tn", "fn"), 0)
+    unparseable = 0
     for r in records:
         positive = r.ground_truth == "equivalent"
         if r.answer == "unparseable":
-            cm.unparseable += 1
-            if positive:
-                cm.fn += 1
-            else:
-                cm.fp += 1
-            continue
-        said_yes = r.answer == "yes"
-        if positive and said_yes:
-            cm.tp += 1
-        elif positive:
-            cm.fn += 1
-        elif said_yes:
-            cm.fp += 1
+            unparseable += 1
+            said_yes = not positive
         else:
-            cm.tn += 1
-    flags: set[str] = set()
-
-    def ratio(num: int, den: int, name: str) -> float:
-        if den == 0:
-            flags.add(name)
-            return 1.0
-        return num / den
-
-    scores = JudgeScores(
-        precision=ratio(cm.tp, cm.tp + cm.fp, "precision"),
-        sensitivity=ratio(cm.tp, cm.tp + cm.fn, "sensitivity"),
-        specificity=ratio(cm.tn, cm.tn + cm.fp, "specificity"),
-        f1=ratio(2 * cm.tp, 2 * cm.tp + cm.fp + cm.fn, "f1"),
-        zero_denominator=flags,
-    )
-    return cm, scores
+            said_yes = r.answer == "yes"
+        counts[("t" if said_yes == positive else "f") + ("p" if said_yes else "n")] += 1
+    tp, fp, tn, fn = counts.values()
+    ratios = {
+        "precision": (tp, tp + fp),
+        "sensitivity": (tp, tp + fn),
+        "specificity": (tn, tn + fp),
+        "f1": (2 * tp, 2 * tp + fp + fn),
+    }
+    return {
+        "pairs": len(records),
+        **counts,
+        "unparseable": unparseable,
+        **{name: num / den if den else 1.0 for name, (num, den) in ratios.items()},
+        "zero_denominator": sorted(name for name, (_, den) in ratios.items() if not den),
+    }
 
 
 def pass_at_k(n: int, c: int, k: int) -> float:

@@ -90,7 +90,6 @@ class ProviderConfig:
 class Completion:
     text: str
     attempts: int = 1
-    seconds: float = 0.0
     prompt_tokens: int | None = None
     completion_tokens: int | None = None
     cached: bool = False
@@ -225,7 +224,6 @@ class Provider:
         if logger.isEnabledFor(logging.DEBUG):
             redacted = {k: ("<redacted>" if k == "Authorization" else v) for k, v in headers.items()}
             logger.debug("request %s headers=%s body=%s", self.config.endpoint, redacted, payload)
-        started = time.monotonic()
         last_error: Exception | None = None
         for attempt in range(1, self.config.max_attempts + 1):
             self.limiter.wait()
@@ -241,7 +239,6 @@ class Provider:
                 return Completion(
                     text=text,
                     attempts=attempt,
-                    seconds=time.monotonic() - started,
                     prompt_tokens=usage.get("prompt_tokens"),
                     completion_tokens=usage.get("completion_tokens"),
                 )

@@ -39,83 +39,61 @@ def summarize_run(
     judge_records: list[JudgeRecord] | None = None,
 ) -> dict:
     """Aggregate one model's result batches into the summary structure."""
-    all_records = [r for rows in batches.values() for r in rows]
-    if not all_records:
+    if not any(batches.values()):
         raise m.MetricsError("no records to summarize")
-    overall_compliance, breakdown = m.compliance(all_records)
-    overall_accuracy, _ = m.accuracy(all_records)
-    decided_accuracy = m.accuracy_excluding_unknown(all_records)
-
+    run = m.BucketStats()
+    categories: dict = {}  # category value -> BucketStats
     per_batch = {}
     comp_values, acc_values = [], []
     for name in sorted(batches):
         rows = batches[name]
-        if all(r.errored for r in rows):  # nothing to score: null, and no batch_stats value
-            per_batch[name] = {
-                "records": len(rows), "compliance": None, "accuracy": None, "unknown_rate": None,
-            }
+        stats = m.BucketStats()
+        for r in rows:
+            stats.add(r)
+            run.add(r)
+            categories.setdefault(r.category_value, m.BucketStats()).add(r)
+        row = per_batch[name] = {"records": len(rows)}
+        if not stats.samples:  # nothing to score: null, and no batch_stats value
+            row.update(compliance=None, accuracy=None, unknown_rate=None)
             continue
-        c, _ = m.compliance(rows)
-        a, _ = m.accuracy(rows)
-        comp_values.append(c)
-        acc_values.append(a)
-        per_batch[name] = {
-            "records": len(rows),
-            "compliance": r4(c),
-            "accuracy": r4(a),
-            "unknown_rate": r4(m.unknown_rate(rows)),
-        }
-
-    comp_stats = m.batch_stats(comp_values)
-    acc_stats = m.batch_stats(acc_values)
-
-    categories = {}
-    for value in sorted(breakdown.buckets, key=lambda v: (isinstance(v, str), v)):
-        b = breakdown.buckets[value]
-        categories[str(value)] = {
-            "samples": b.samples,
-            "compliant": b.compliant,
-            "equivalent": b.equivalent,
-            "unknown": b.unknown,
-            "errored": b.errored,
-            "compliance": r4(b.compliant / b.samples) if b.samples else None,
-            "accuracy": r4(b.equivalent / b.samples) if b.samples else None,
-        }
-
+        comp_values.append(stats.compliance)
+        acc_values.append(stats.accuracy)
+        row.update(
+            compliance=r4(stats.compliance),
+            accuracy=r4(stats.accuracy),
+            unknown_rate=r4(stats.unknown_rate),
+        )
+    first = next(r for rows in batches.values() for r in rows)
+    decided = run.accuracy_excluding_unknown
     summary = {
-        "records": len(all_records),
-        "errored": sum(1 for r in all_records if r.errored),
-        "model": all_records[0].model,
-        "formalism": all_records[0].formalism,
-        "grammar_id": all_records[0].grammar_id,
-        "category_metric": breakdown.metric,
-        "compliance": r4(overall_compliance),
-        "accuracy": r4(overall_accuracy),
-        "accuracy_excluding_unknown": None if decided_accuracy is None else r4(decided_accuracy),
-        "accuracy_all_records": r4(m.accuracy_all_records(all_records)),
-        "unknown_rate": r4(m.unknown_rate(all_records)),
+        "records": run.samples + run.errored,
+        "errored": run.errored,
+        "model": first.model,
+        "formalism": first.formalism,
+        "grammar_id": first.grammar_id,
+        "category_metric": first.category_metric,
+        "compliance": r4(run.compliance),
+        "accuracy": r4(run.accuracy),
+        "accuracy_excluding_unknown": None if decided is None else r4(decided),
+        "accuracy_all_records": r4(run.accuracy_all_records),
+        "unknown_rate": r4(run.unknown_rate),
         "batches": per_batch,
         "batch_stats": {
-            "compliance": _stats_row(comp_stats),
-            "accuracy": _stats_row(acc_stats),
+            "compliance": _stats_row(m.batch_stats(comp_values)),
+            "accuracy": _stats_row(m.batch_stats(acc_values)),
         },
-        "categories": categories,
+        "categories": {
+            str(value): {
+                **vars(b),
+                "compliance": r4(b.compliance) if b.samples else None,
+                "accuracy": r4(b.accuracy) if b.samples else None,
+            }
+            for value, b in sorted(categories.items(), key=lambda kv: (isinstance(kv[0], str), kv[0]))
+        },
     }
     if judge_records:
-        cm, scores = m.judge_scores(judge_records)
-        summary["judge"] = {
-            "pairs": len(judge_records),
-            "tp": cm.tp,
-            "fp": cm.fp,
-            "tn": cm.tn,
-            "fn": cm.fn,
-            "unparseable": cm.unparseable,
-            "precision": r4(scores.precision),
-            "sensitivity": r4(scores.sensitivity),
-            "specificity": r4(scores.specificity),
-            "f1": r4(scores.f1),
-            "zero_denominator": sorted(scores.zero_denominator),
-        }
+        scores = m.judge_scores(judge_records)
+        summary["judge"] = {k: r4(v) if isinstance(v, float) else v for k, v in scores.items()}
     return summary
 
 

@@ -148,12 +148,11 @@ class ResultWriter:
         if resume and self.path.exists():
             rows = [json.loads(line) for line in read_complete_lines(self.path) if line.strip()]
         if rows:
-            if rows[0].get("kind") == "header":
-                if rows[0].get("config_hash") != header.get("config_hash"):
-                    raise ValueError(
-                        "resume config mismatch: result file was produced by a "
-                        "different configuration"
-                    )
+            if _header(rows, self.path).get("config_hash") != header.get("config_hash"):
+                raise ValueError(
+                    "resume config mismatch: result file was produced by a "
+                    "different configuration"
+                )
             for row in rows[1:]:
                 key = row.get("record_id") or row.get("pair_id")
                 if key:
@@ -178,11 +177,15 @@ class ResultWriter:
         self.close()
 
 
-def _read_records(path: str | Path, cls) -> tuple[dict, list]:
-    rows = read_jsonl(path)
+def _header(rows: list[dict], path: str | Path) -> dict:
     if not rows or rows[0].get("kind") != "header":
         raise ValueError(f"{path} is not a result file (missing header)")
-    return rows[0], [cls(**{k: v for k, v in r.items() if k != "kind"}) for r in rows[1:]]
+    return rows[0]
+
+
+def _read_records(path: str | Path, cls) -> tuple[dict, list]:
+    rows = read_jsonl(path)
+    return _header(rows, path), [cls(**{k: v for k, v in r.items() if k != "kind"}) for r in rows[1:]]
 
 
 def read_results(path: str | Path) -> tuple[dict, list[RoundTripRecord]]:

@@ -5,7 +5,6 @@ from .nodes import (
     EXISTS,
     FOL,
     FORALL,
-    FORMALISMS,
     PROP,
     REGEX,
     And,
@@ -30,7 +29,7 @@ from .printer import canonical_text, make_expression
 from .simplify import simplify_expression
 
 __all__ = [
-    "EXISTS", "FOL", "FORALL", "FORMALISMS", "PROP", "REGEX",
+    "EXISTS", "FOL", "FORALL", "PROP", "REGEX",
     "And", "ArityError", "Atom", "Concat", "Constant",
     "FormalExpression", "Literal", "LogicNode", "NonCompliant", "Not", "Or",
     "ParseError", "Proposition", "Quantified", "RegexAst", "Star",

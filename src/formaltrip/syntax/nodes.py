@@ -26,8 +26,6 @@ PROP = "prop"
 FOL = "fol"
 REGEX = "regex"
 
-FORMALISMS = (PROP, FOL, REGEX)
-
 
 # ---------------------------------------------------------------------------
 # logic nodes (shared by prop and fol)

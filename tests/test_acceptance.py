@@ -16,7 +16,7 @@ from formaltrip.grammar import (
     VocabularyConfig,
     generate_dataset,
 )
-from formaltrip.metrics import accuracy, compliance, pass_at_k
+from formaltrip.metrics import pass_at_k, tally
 from formaltrip.pipeline import (
     Provider,
     ProviderConfig,
@@ -205,17 +205,15 @@ def test_criterion_7_harness_validation():
         oracle = Provider(ProviderConfig(kind="perfect_oracle"))
         for formalism, records in _formalism_datasets(1000).items():
             results = run_round_trips(records, oracle, load_template_set(formalism, 0))
-            comp, _ = compliance(results)
-            acc, _ = accuracy(results)
-            assert comp == 1.0 and acc == 1.0, formalism
+            stats = tally(results)
+            assert stats.compliance == 1.0 and stats.accuracy == 1.0, formalism
 
         # single-binary-operator formulas over distinct propositions
         fixtures = _single_binary_fixtures()
         assert len(fixtures) >= 20
         corruptor = Provider(ProviderConfig(kind="corrupting_oracle", corruption_prob=1.0))
         results = run_round_trips(fixtures, corruptor, load_template_set("prop", 0))
-        acc, _ = accuracy(results)
-        assert acc == 0.0
+        assert tally(results).accuracy == 0.0
 
 
 def _single_binary_fixtures():

@@ -1,6 +1,8 @@
 import json
 from dataclasses import fields
 
+import pytest
+
 from formaltrip.grammar import PROP, DatasetRecord, GenerationConfig, VocabularyConfig, generate_dataset
 from formaltrip.pipeline import Provider, ProviderConfig, load_template_set, run_round_trips
 from formaltrip.pipeline.runner import JudgeRecord
@@ -144,10 +146,18 @@ def test_resume_rejects_changed_config(tmp_path):
     path = tmp_path / "results.jsonl"
     with storage.ResultWriter(path, storage.result_header("m", {"k": 1}, None, True)):
         pass
-    import pytest
-
     with pytest.raises(ValueError):
         storage.ResultWriter(path, storage.result_header("m", {"k": 2}, None, True), resume=True)
+
+
+def test_resume_rejects_a_file_without_a_header(tmp_path):
+    path = tmp_path / "results.jsonl"
+    text = '{"record_id": "a"}\n{"record_id": "b"}\n'
+    path.write_text(text, encoding="utf-8")
+    header = storage.result_header("m", {"k": 1}, None, True)
+    with pytest.raises(ValueError, match="missing header"):
+        storage.ResultWriter(path, header, resume=True)
+    assert path.read_text(encoding="utf-8") == text
 
 
 def test_config_hash_changes_only_with_semantics():

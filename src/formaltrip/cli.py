@@ -361,8 +361,12 @@ def _balanced_positive(record, budget):
 
 
 def cmd_report(args) -> int:
-    batches = {}
+    batches, sources = {}, {}
     for path in _expand_paths(args.results):
+        if path.stem in sources:
+            raise ValueError(f"{sources[path.stem]} and {path} are both batch {path.stem!r}; "
+                             "rename one of them")
+        sources[path.stem] = path
         _, records = storage.read_results(path)
         if args.by:
             records = report_mod.rebucket(records, args.by)

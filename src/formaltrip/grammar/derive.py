@@ -105,14 +105,31 @@ def grow_tree(
 
 def _combos(choices: list[list[Option]], n: int, rng: random.Random) -> list[tuple[Option, ...]]:
     """Up to `n` rewrite combinations: all of them when there are at most
-    `n`, else `n` drawn with one `rng.choice` per position, left to right."""
+    `n`, else `n` drawn one position at a time, left to right, exactly as
+    `rng.choice` draws: `getrandbits` of the list size's bit width until
+    the value is below the size."""
     total = 1
     for opts in choices:
         total *= len(opts)
         if total > n:
-            choice = rng.choice
-            return [tuple([choice(opts) for opts in choices]) for _ in range(n)]
+            return _draw(choices, n, rng.getrandbits)
     return list(itertools.product(*choices))
+
+
+def _draw(choices: list[list[Option]], n: int, getrandbits) -> list[tuple[Option, ...]]:
+    """`n` combinations, one option drawn per position; a list's size and
+    bit width are taken once, not per draw."""
+    draws = [(opts, len(opts), len(opts).bit_length()) for opts in choices]
+    combos = []
+    for _ in range(n):
+        combo = []
+        for opts, size, bits in draws:
+            r = getrandbits(bits)
+            while r >= size:
+                r = getrandbits(bits)
+            combo.append(opts[r])
+        combos.append(tuple(combo))
+    return combos
 
 
 def _build(parent: DerivationNode, positions: list[int], combo: tuple[Option, ...]) -> DerivationNode:

@@ -93,12 +93,15 @@ class BatchStatistics:
 def judge_scores(records: list[JudgeRecord]) -> dict:
     """Confusion counts and scores of judge answers; the positive class is
     "equivalent", and an unparseable answer counts as the wrong prediction.
+    A pair whose judge request failed (`error` set) counts only in `pairs`.
     A score whose denominator is zero is 1.0 and named in `zero_denominator`."""
     if not records:
         raise MetricsError("no judge records")
     counts = dict.fromkeys(("tp", "fp", "tn", "fn"), 0)
     unparseable = 0
     for r in records:
+        if r.error:
+            continue
         positive = r.ground_truth == "equivalent"
         if r.answer == "unparseable":
             unparseable += 1

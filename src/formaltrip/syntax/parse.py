@@ -34,7 +34,7 @@ from .nodes import (
     flatten_or,
     walk,
 )
-from .printer import make_expression
+from .printer import make_expression, printed_nesting
 
 
 class ParseError(Exception):
@@ -372,30 +372,40 @@ def _parse_regex_concat(s: str, i: int, alphabet, depth: int) -> tuple[RegexAst,
 # ---------------------------------------------------------------------------
 # any of the three
 
-# Hash-consing over a weak table: parsing is a pure function and expressions
-# are immutable, so a canonical text whose expression some caller still holds
-# is not parsed again. An entry dies with the last reference to its expression.
+# Hash-consing over weak tables keyed by canonical text: parsing is a pure
+# function and expressions are immutable, so the canonical text of an
+# expression some caller still holds is not parsed again. `_LIVE` holds the
+# expressions that their canonical text is known to parse to. `_PRINTED`
+# holds those parsed from other text: reparsing their canonical text gives an
+# equal expression unless it nests too deep, which the first lookup checks
+# once before it moves the entry to `_LIVE`. An entry dies with the last
+# reference to its expression.
 _LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_PRINTED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def parse_expression(formalism: str, text: str, alphabet=None) -> FormalExpression:
     """Parse canonical or user text in the given formalism.
 
-    For a canonical text already parsed, with the same regex alphabet, whose
-    expression is still alive, this returns that same expression object.
+    For the canonical text of an expression parsed before with the same
+    regex alphabet and still alive, this returns that same expression object.
     """
     alphabet_key = frozenset(alphabet) if formalism == REGEX and alphabet is not None else None
-    expr = _LIVE.get((formalism, text, alphabet_key))
+    key = (formalism, text, alphabet_key)
+    expr = _LIVE.get(key)
     if expr is not None:
         return expr
-    if formalism == PROP:
-        expr = make_expression(PROP, parse_prop(text))
-    elif formalism == FOL:
-        expr = make_expression(FOL, parse_fol(text))
-    elif formalism == REGEX:
-        expr = make_expression(REGEX, parse_regex(text, alphabet))
-    else:
-        raise ValueError(f"unknown formalism {formalism!r}")
-    if expr.canonical_text == text:
-        _LIVE[formalism, expr.canonical_text, alphabet_key] = expr
+    expr = _PRINTED.pop(key, None)
+    if expr is None or printed_nesting(formalism, expr.ast) > MAX_NESTING:
+        if formalism == PROP:
+            expr = make_expression(PROP, parse_prop(text))
+        elif formalism == FOL:
+            expr = make_expression(FOL, parse_fol(text))
+        elif formalism == REGEX:
+            expr = make_expression(REGEX, parse_regex(text, alphabet))
+        else:
+            raise ValueError(f"unknown formalism {formalism!r}")
+    table = _LIVE if expr.canonical_text == text else _PRINTED
+    # keyed by the expression's own text: `text` may be a copy that dies sooner
+    table[formalism, expr.canonical_text, alphabet_key] = expr
     return expr

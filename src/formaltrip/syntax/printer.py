@@ -80,5 +80,41 @@ def canonical_text(formalism: str, ast) -> str:
     raise ValueError(f"unknown formalism {formalism!r}")
 
 
+def printed_nesting(formalism: str, ast) -> int:
+    """The nesting the parser counts when it reads `canonical_text(formalism,
+    ast)` back: each '(', negation and quantifier body of a logic formula,
+    and each group and star of a regex, is one level."""
+    if formalism == "prop":
+        return _logic_nesting(ast)
+    if formalism == "fol":
+        levels = 0
+        while type(ast) is Quantified:  # the root chain, printed bare
+            levels += 1
+            ast = ast.body
+        return levels + _logic_nesting(ast)
+    if formalism == "regex":
+        return _regex_nesting(ast)
+    raise ValueError(f"unknown formalism {formalism!r}")
+
+
+def _logic_nesting(node: LogicNode) -> int:
+    if isinstance(node, Not):
+        return 1 + _logic_nesting(node.child)
+    if isinstance(node, (And, Or)):
+        return 1 + max(map(_logic_nesting, node.children))
+    if isinstance(node, Quantified):  # '(' and the body
+        return 2 + _logic_nesting(node.body)
+    return 0
+
+
+def _regex_nesting(node: RegexAst) -> int:
+    if isinstance(node, Star):
+        # a starred Concat is printed as a group: one level more
+        return (2 if isinstance(node.child, Concat) else 1) + _regex_nesting(node.child)
+    if isinstance(node, Concat):
+        return max(map(_regex_nesting, node.children))
+    return 0
+
+
 def make_expression(formalism: str, ast) -> FormalExpression:
     return FormalExpression(formalism, ast, canonical_text(formalism, ast))

@@ -472,3 +472,23 @@ def test_report_nulls_accuracy_excluding_unknown_when_every_verdict_is_unknown(t
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["accuracy_excluding_unknown"] is None
     assert summary["unknown_rate"] == 1.0
+
+
+def test_report_refuses_two_results_files_with_one_name(dataset_dir, tmp_path, capsys):
+    # both would be batch "results", and the second would replace the first
+    first, second = tmp_path / "a", tmp_path / "b"
+    for out in (first, second):
+        assert run_cli(
+            "run", "--provider", "perfect-oracle",
+            "--dataset", dataset_dir / "prop_operator_total_batch0.jsonl", "--output-dir", out,
+        ) == 0
+        (out / "results_prop_operator_total_batch0.jsonl").rename(out / "results.jsonl")
+    capsys.readouterr()
+    code = run_cli(
+        "report", "--results", first / "results.jsonl", second / "results.jsonl",
+        "--output-dir", tmp_path / "report",
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert str(first / "results.jsonl") in err and str(second / "results.jsonl") in err
+    assert not (tmp_path / "report").exists()

@@ -15,6 +15,7 @@ from formaltrip.grammar import (
     load_grammar,
     recognize,
 )
+from formaltrip.grammar.derive import _combos
 
 
 def test_builtin_rule_sets():
@@ -91,6 +92,21 @@ def test_empty_frontier_raises():
     loop = GrammarSpec.build("loop", "S", [("S", ("a", "S"))])
     with pytest.raises(EmptyFrontier):
         grow_tree(loop, cfg(4), random.Random(0))
+
+
+def test_sampled_combos_draw_as_rng_choice_does():
+    # every golden dataset hash rests on this stream, so a Python whose
+    # Random.choice draws differently should fail here first, by name
+    for size in range(1, 301):
+        choices = [list(range(size)), list(range(7)), list(range(size))]
+        ours, theirs = random.Random(size), random.Random(size)
+        got = _combos(choices, 5, ours)
+        expected = [tuple(theirs.choice(opts) for opts in choices) for _ in range(5)]
+        assert got == expected, (
+            f"_combos no longer draws as random.Random.choice for a list of {size}; "
+            "it must follow choice's getrandbits draws, or every golden hash moves"
+        )
+        assert ours.getstate() == theirs.getstate(), f"generator state differs after lists of {size}"
 
 
 # --- recognition ---------------------------------------------------------------

@@ -33,7 +33,7 @@ def rt(record_id="r", value=1, verdict=None, compliant=True, error=None):
     )
 
 
-def jr(truth, answer):
+def jr(truth, answer, error=None):
     return JudgeRecord(
         pair_id="p",
         formalism="prop",
@@ -41,6 +41,7 @@ def jr(truth, answer):
         formula2="p1",
         ground_truth=truth,
         answer=answer,
+        error=error,
     )
 
 
@@ -138,6 +139,15 @@ def test_unparseable_scores_as_wrong():
     scores = judge_scores([jr("equivalent", "unparseable"), jr("not_equivalent", "unparseable")])
     assert [scores[k] for k in ("fn", "fp", "unparseable")] == [1, 1, 2]
     assert scores["tp"] + scores["fp"] + scores["tn"] + scores["fn"] == scores["pairs"] == 2
+
+
+def test_an_errored_judge_pair_counts_only_as_a_pair():
+    # a failed request keeps the default answer "unparseable", but the judge gave none
+    errored = jr("equivalent", "unparseable", error="Timeout: no reply")
+    scores = judge_scores([errored, jr("equivalent", "yes")])
+    assert scores["pairs"] == 2
+    assert [scores[k] for k in ("tp", "fp", "tn", "fn", "unparseable")] == [1, 0, 0, 0, 0]
+    assert scores["sensitivity"] == 1.0
 
 
 def test_empty_judge_records_error():

@@ -1,6 +1,7 @@
-"""parse_expression returns the live expression for a canonical text it has
-already parsed, keyed by formalism, text and regex alphabet. Within one
-parse, equal leaves are one object, and no tree node has a `__dict__`."""
+"""parse_expression returns the live expression for the canonical text of
+an expression it has already parsed, from that text or any other, keyed by
+formalism, canonical text and regex alphabet. Within one parse, equal leaves
+are one object, and no tree node has a `__dict__`."""
 
 import gc
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 from formaltrip.syntax import ParseError, make_expression, parse_expression, parse_fol, parse_prop
 from formaltrip.syntax import parse as parse_module
+from formaltrip.syntax.parse import MAX_NESTING
 from formaltrip.syntax.nodes import (
     FORALL,
     And,
@@ -25,6 +27,7 @@ from formaltrip.syntax.nodes import (
     Star,
     Variable,
 )
+from test_nesting_bound import QUANTIFIED_CHAIN
 
 
 def live_keys():
@@ -48,11 +51,47 @@ def test_a_canonical_text_parsed_twice_is_one_object(formalism, text, alphabet):
 
 
 @pytest.mark.parametrize("text", ["p1 & p2", "( p1 ∧ p2 )"])
-def test_a_non_canonical_text_is_not_stored(text):
+def test_a_non_canonical_text_is_no_key_and_reparses_to_a_new_object(text):
     expr = parse_expression("prop", text)
     assert expr.canonical_text == "(p1 ∧ p2)"
     assert ("prop", text, None) not in live_keys()
     assert parse_expression("prop", text) is not expr
+
+
+@pytest.mark.parametrize(
+    "formalism,text,alphabet,canonical",
+    [
+        ("prop", "( p1 & p2 )", None, "(p1 ∧ p2)"),
+        ("fol", "forall x1 . pred1(x1) and not pred2(x1,c1)", None, "∀ x1. (pred1(x1) ∧ ¬pred2(x1, c1))"),
+        ("regex", "(0)(1)*", {"0", "1"}, "01*"),
+        # the canonical text nests MAX_NESTING levels, so it parses
+        pytest.param("prop", "¬ " * MAX_NESTING + "p1", None, "¬" * MAX_NESTING + "p1", id="at-the-bound"),
+    ],
+)
+def test_a_non_canonical_parse_is_returned_for_its_canonical_text(formalism, text, alphabet, canonical):
+    expr = parse_expression(formalism, text, alphabet)
+    assert expr.canonical_text == canonical
+    # the first lookup moves the entry to `_LIVE`, the second finds it there
+    assert parse_expression(formalism, canonical, alphabet) is expr
+    assert parse_expression(formalism, canonical, alphabet) is expr
+    assert (formalism, canonical, frozenset(alphabet) if alphabet else None) in live_keys()
+
+
+def test_a_non_canonical_parse_stays_under_its_own_alphabet():
+    expr = parse_expression("regex", "(0)(1)*", {"0", "1"})
+    with pytest.raises(ParseError, match="outside the alphabet"):
+        parse_expression("regex", "01*", {"1", "2"})
+    digits = parse_expression("regex", "01*")
+    assert digits == expr and digits is not expr
+    assert parse_expression("regex", "01*", {"0", "1"}) is expr
+
+
+def test_a_live_parse_whose_canonical_text_nests_too_deep_does_not_make_it_parse():
+    expr = parse_expression("fol", QUANTIFIED_CHAIN)
+    for _ in range(2):
+        with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING} levels"):
+            parse_expression("fol", expr.canonical_text)
+    assert ("fol", expr.canonical_text, None) not in live_keys()
 
 
 def test_validity_never_leaks_across_alphabets():
@@ -81,8 +120,12 @@ def test_an_entry_dies_with_its_expression():
 
 
 def test_concurrent_parses_equal_a_serial_parse():
-    texts = [f"(p{i} ∧ ¬p{i + 1})" if i % 2 else f"∃ x1. pred{i}(x1, c{i})" for i in range(200)]
-    formalisms = ["prop" if i % 2 else "fol" for i in range(200)]
+    canonical = [f"(p{i} ∧ ¬p{i + 1})" if i % 2 else f"∃ x1. pred{i}(x1, c{i})" for i in range(200)]
+    spaced = [f"( p{i} & ~ p{i + 1} )" if i % 2 else f"exists x1 . pred{i}( x1 , c{i} )" for i in range(200)]
+    # each canonical text is looked up while another thread may be parsing
+    # or looking up the same expression from its spaced text
+    texts = [t for pair in zip(spaced, canonical) for t in pair]
+    formalisms = ["prop" if i % 4 > 1 else "fol" for i in range(400)]
     results: list[list] = [[], [], [], []]
 
     def work(slot):
@@ -93,7 +136,7 @@ def test_concurrent_parses_equal_a_serial_parse():
         make_expression(f, parse_fol(t) if f == "fol" else parse_prop(t))
         for f, t in zip(formalisms, texts)
     ]
-    assert [e.canonical_text for e in serial] == texts
+    assert [e.canonical_text for e in serial] == [t for t in canonical for _ in (0, 1)]
     threads = [threading.Thread(target=work, args=(slot,)) for slot in (0, 1, 2, 3)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -37,7 +37,7 @@ from .pipeline import (
     run_round_trips,
 )
 from .pipeline.runner import judge as judge_pair
-from .syntax import ParseError, parse_expression, simplify_expression
+from .syntax import parse_expression, simplify_expression
 from .verify import ProverBudget, verify_pair
 
 logger = logging.getLogger("formaltrip")
@@ -59,7 +59,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (ValueError, OSError, MetricsError, ParseError) as e:
+    except (ValueError, OSError, MetricsError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -1,4 +1,5 @@
-"""AST node types for the three formalisms.
+"""AST node types for the three formalisms, and the nesting bound that
+both the parsers and the printer keep.
 
 All nodes are frozen dataclasses so structural equality and hashing come
 for free; children are stored as tuples. Logic connectives (Not/And/Or)
@@ -25,6 +26,28 @@ EXISTS = "exists"
 PROP = "prop"
 FOL = "fol"
 REGEX = "regex"
+
+# The most levels a formula may nest, as parsed and as printed: each '(',
+# negation and quantifier body of a logic formula, and each group and star of
+# a regex, is one level. The parsers reject deeper text and the printer a
+# tree whose canonical text would nest deeper, so every FormalExpression has
+# canonical text that parses back. A depth-40 walk of a built-in grammar nests
+# at most 80 levels, since one rewrite opens two at most (S -> ( ¬ S )); the
+# deepest seen at the default scale was 52. Parsing, printing, the NL codec
+# and the verifiers exceed Python's default recursion limit from about 200
+# levels, so a deeper formula is rejected as a parse error rather than
+# crashing later.
+MAX_NESTING = 100
+TOO_DEEP = f"nesting deeper than {MAX_NESTING} levels"
+
+
+class ParseError(ValueError):
+    """Syntax error with the offending position and what was expected."""
+
+    def __init__(self, message: str, position: int = 0, expected: str = ""):
+        super().__init__(message)
+        self.position = position
+        self.expected = expected
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +145,9 @@ class FormalExpression:
     """An expression in one of the three formalisms with its canonical text.
 
     canonical_text is the fixed point of print-then-parse: reparsing it
-    yields a structurally identical AST.
+    yields a structurally identical AST. Build one only with
+    `printer.make_expression`, which refuses a tree whose canonical text
+    would nest past MAX_NESTING, so that text always parses back.
     """
 
     formalism: str

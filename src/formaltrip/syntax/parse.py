@@ -16,8 +16,10 @@ from .nodes import (
     EXISTS,
     FOL,
     FORALL,
+    MAX_NESTING,
     PROP,
     REGEX,
+    TOO_DEEP,
     Atom,
     Concat,
     Constant,
@@ -25,6 +27,7 @@ from .nodes import (
     Literal,
     LogicNode,
     Not,
+    ParseError,
     Proposition,
     Quantified,
     RegexAst,
@@ -34,16 +37,7 @@ from .nodes import (
     flatten_or,
     walk,
 )
-from .printer import make_expression, printed_nesting
-
-
-class ParseError(Exception):
-    """Syntax error with the offending position and what was expected."""
-
-    def __init__(self, message: str, position: int = 0, expected: str = ""):
-        super().__init__(message)
-        self.position = position
-        self.expected = expected
+from .printer import make_expression
 
 
 class ArityError(ParseError):
@@ -87,17 +81,6 @@ _WORD_CLASS = {
 # an accepted token either starts like an identifier or is one of these
 _OPERATORS = frozenset(_WORD_CLASS) | {"(", ")", ".", ",", "*"}
 _END = ""  # appended after the last token
-
-# The most levels a formula may nest: each '(', negation and quantifier body
-# of a logic formula, and each group and star of a regex, is one level.
-# A depth-40 walk of a built-in grammar nests at most 80 levels, since one
-# rewrite opens two at most (S -> ( ¬ S )); the deepest seen at the default
-# scale was 52. Parsing, printing, the NL codec and the verifiers exceed
-# Python's default recursion limit from about 200 levels, so a deeper reply
-# is rejected here as a parse error rather than crashing later.
-MAX_NESTING = 100
-_TOO_DEEP = f"nesting deeper than {MAX_NESTING} levels"
-
 
 class _Failure(Exception):
     """A parse error located by token index; `_located` turns it into a
@@ -169,7 +152,7 @@ class _LogicParser:
     def nested(self, rule) -> LogicNode:
         """`rule()` one nesting level down."""
         if self.depth == MAX_NESTING:
-            raise _Failure(_TOO_DEEP, self.i, "shallower formula")
+            raise _Failure(TOO_DEEP, self.i, "shallower formula")
         self.depth += 1
         node = rule()
         self.depth -= 1
@@ -328,7 +311,7 @@ def _parse_regex_concat(s: str, i: int, alphabet, depth: int) -> tuple[RegexAst,
             break
         if ch == "(":
             if depth == MAX_NESTING:
-                raise ParseError(_TOO_DEEP, i, "shallower regex")
+                raise ParseError(TOO_DEEP, i, "shallower regex")
             inner, j, level = _parse_regex_concat(s, i + 1, alphabet, depth + 1)
             if j >= len(s) or s[j] != ")":
                 raise ParseError("unbalanced parenthesis", i, ")")
@@ -349,7 +332,7 @@ def _parse_regex_concat(s: str, i: int, alphabet, depth: int) -> tuple[RegexAst,
             i += 1
         while i < len(s) and s[i] == "*":
             if level == MAX_NESTING:
-                raise ParseError(_TOO_DEEP, i, "shallower regex")
+                raise ParseError(TOO_DEEP, i, "shallower regex")
             node = Star(node)
             level += 1
             i += 1
@@ -372,16 +355,13 @@ def _parse_regex_concat(s: str, i: int, alphabet, depth: int) -> tuple[RegexAst,
 # ---------------------------------------------------------------------------
 # any of the three
 
-# Hash-consing over weak tables keyed by canonical text: parsing is a pure
+# Hash-consing over a weak table keyed by canonical text: parsing is a pure
 # function and expressions are immutable, so the canonical text of an
-# expression some caller still holds is not parsed again. `_LIVE` holds the
-# expressions that their canonical text is known to parse to. `_PRINTED`
-# holds those parsed from other text: reparsing their canonical text gives an
-# equal expression unless it nests too deep, which the first lookup checks
-# once before it moves the entry to `_LIVE`. An entry dies with the last
-# reference to its expression.
+# expression some caller still holds is not parsed again. A parse from any
+# text is stored under its canonical text, which parses back to an equal
+# expression because the printer refuses a tree whose text would nest past
+# MAX_NESTING. An entry dies with the last reference to its expression.
 _LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-_PRINTED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def parse_expression(formalism: str, text: str, alphabet=None) -> FormalExpression:
@@ -391,21 +371,17 @@ def parse_expression(formalism: str, text: str, alphabet=None) -> FormalExpressi
     regex alphabet and still alive, this returns that same expression object.
     """
     alphabet_key = frozenset(alphabet) if formalism == REGEX and alphabet is not None else None
-    key = (formalism, text, alphabet_key)
-    expr = _LIVE.get(key)
+    expr = _LIVE.get((formalism, text, alphabet_key))
     if expr is not None:
         return expr
-    expr = _PRINTED.pop(key, None)
-    if expr is None or printed_nesting(formalism, expr.ast) > MAX_NESTING:
-        if formalism == PROP:
-            expr = make_expression(PROP, parse_prop(text))
-        elif formalism == FOL:
-            expr = make_expression(FOL, parse_fol(text))
-        elif formalism == REGEX:
-            expr = make_expression(REGEX, parse_regex(text, alphabet))
-        else:
-            raise ValueError(f"unknown formalism {formalism!r}")
-    table = _LIVE if expr.canonical_text == text else _PRINTED
+    if formalism == PROP:
+        expr = make_expression(PROP, parse_prop(text))
+    elif formalism == FOL:
+        expr = make_expression(FOL, parse_fol(text))
+    elif formalism == REGEX:
+        expr = make_expression(REGEX, parse_regex(text, alphabet))
+    else:
+        raise ValueError(f"unknown formalism {formalism!r}")
     # keyed by the expression's own text: `text` may be a copy that dies sooner
-    table[formalism, expr.canonical_text, alphabet_key] = expr
+    _LIVE[formalism, expr.canonical_text, alphabet_key] = expr
     return expr

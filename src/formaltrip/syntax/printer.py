@@ -4,12 +4,19 @@ Logic formulas are fully parenthesized per n-ary node with single spaces
 around binary operators and no space after negation; regexes use minimal
 parentheses (only around starred multi-symbol groups). Reparsing the
 canonical text yields a structurally identical AST.
+
+The printer counts nesting as it prints, the way the parser counts it when
+it reads the text back, and raises the parser's own ParseError for a tree
+whose text would nest past MAX_NESTING. So a tree has canonical text exactly
+when that text parses.
 """
 
 from __future__ import annotations
 
 from .nodes import (
     FORALL,
+    MAX_NESTING,
+    TOO_DEEP,
     And,
     Atom,
     Concat,
@@ -18,6 +25,7 @@ from .nodes import (
     LogicNode,
     Not,
     Or,
+    ParseError,
     Proposition,
     Quantified,
     RegexAst,
@@ -25,22 +33,28 @@ from .nodes import (
 )
 
 
-def print_logic(node: LogicNode) -> str:
-    if isinstance(node, Proposition):
+def print_logic(node: LogicNode, depth: int = 0) -> str:
+    """The text of `node` where it sits `depth` levels down: each '(',
+    negation and quantifier body is one level."""
+    if depth > MAX_NESTING:
+        raise ParseError(TOO_DEEP)
+    t = type(node)
+    if t is Proposition:
         return node.name
-    if isinstance(node, Atom):
+    if t is Atom:
         if not node.terms:
             return node.predicate
-        args = ", ".join(t.name for t in node.terms)
+        args = ", ".join(term.name for term in node.terms)
         return f"{node.predicate}({args})"
-    if isinstance(node, Not):
-        return "¬" + print_logic(node.child)
-    if isinstance(node, And):
-        return "(" + " ∧ ".join(print_logic(c) for c in node.children) + ")"
-    if isinstance(node, Or):
-        return "(" + " ∨ ".join(print_logic(c) for c in node.children) + ")"
-    if isinstance(node, Quantified):
-        return "(" + _print_quantifier(node.kind, node.variables) + print_logic(node.body) + ")"
+    if t is Not:
+        return "¬" + print_logic(node.child, depth + 1)
+    if t is And:
+        return "(" + " ∧ ".join([print_logic(c, depth + 1) for c in node.children]) + ")"
+    if t is Or:
+        return "(" + " ∨ ".join([print_logic(c, depth + 1) for c in node.children]) + ")"
+    if t is Quantified:  # '(' and the body
+        body = print_logic(node.body, depth + 2)
+        return "(" + _print_quantifier(node.kind, node.variables) + body + ")"
     raise TypeError(f"not a logic node: {node!r}")
 
 
@@ -50,23 +64,31 @@ def _print_quantifier(kind: str, variables) -> str:
 
 
 def print_fol(node: LogicNode) -> str:
-    """The quantifier chain at the root is printed without parentheses."""
+    """The quantifier chain at the root is printed without parentheses; each
+    of its bodies is still one level down."""
     prefix = ""
+    depth = 0
     while type(node) is Quantified:
         prefix += _print_quantifier(node.kind, node.variables)
         node = node.body
-    return prefix + print_logic(node)
+        depth += 1
+    return prefix + print_logic(node, depth)
 
 
-def print_regex(node: RegexAst) -> str:
-    if isinstance(node, Literal):
+def print_regex(node: RegexAst, depth: int = 0) -> str:
+    """The text of `node` where it sits `depth` levels down: each group and
+    star is one level."""
+    if depth > MAX_NESTING:
+        raise ParseError(TOO_DEEP)
+    t = type(node)
+    if t is Literal:
         return node.symbol
-    if isinstance(node, Star):
-        if isinstance(node.child, Concat):
-            return "(" + print_regex(node.child) + ")*"
-        return print_regex(node.child) + "*"
-    if isinstance(node, Concat):
-        return "".join(print_regex(c) for c in node.children)
+    if t is Star:
+        if type(node.child) is Concat:  # a group and its star
+            return "(" + print_regex(node.child, depth + 2) + ")*"
+        return print_regex(node.child, depth + 1) + "*"
+    if t is Concat:
+        return "".join([print_regex(c, depth) for c in node.children])
     raise TypeError(f"not a regex node: {node!r}")
 
 
@@ -80,41 +102,7 @@ def canonical_text(formalism: str, ast) -> str:
     raise ValueError(f"unknown formalism {formalism!r}")
 
 
-def printed_nesting(formalism: str, ast) -> int:
-    """The nesting the parser counts when it reads `canonical_text(formalism,
-    ast)` back: each '(', negation and quantifier body of a logic formula,
-    and each group and star of a regex, is one level."""
-    if formalism == "prop":
-        return _logic_nesting(ast)
-    if formalism == "fol":
-        levels = 0
-        while type(ast) is Quantified:  # the root chain, printed bare
-            levels += 1
-            ast = ast.body
-        return levels + _logic_nesting(ast)
-    if formalism == "regex":
-        return _regex_nesting(ast)
-    raise ValueError(f"unknown formalism {formalism!r}")
-
-
-def _logic_nesting(node: LogicNode) -> int:
-    if isinstance(node, Not):
-        return 1 + _logic_nesting(node.child)
-    if isinstance(node, (And, Or)):
-        return 1 + max(map(_logic_nesting, node.children))
-    if isinstance(node, Quantified):  # '(' and the body
-        return 2 + _logic_nesting(node.body)
-    return 0
-
-
-def _regex_nesting(node: RegexAst) -> int:
-    if isinstance(node, Star):
-        # a starred Concat is printed as a group: one level more
-        return (2 if isinstance(node.child, Concat) else 1) + _regex_nesting(node.child)
-    if isinstance(node, Concat):
-        return max(map(_regex_nesting, node.children))
-    return 0
-
-
 def make_expression(formalism: str, ast) -> FormalExpression:
+    """The one constructor of FormalExpression: raises ParseError when the
+    canonical text of `ast` would nest past MAX_NESTING."""
     return FormalExpression(formalism, ast, canonical_text(formalism, ast))

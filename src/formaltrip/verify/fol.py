@@ -32,7 +32,6 @@ from ..syntax.nodes import (
     children,
     walk,
 )
-from ..syntax.printer import print_fol
 from . import prop
 from .verdict import EquivalenceVerdict, equivalent, not_equivalent, unknown
 
@@ -501,7 +500,7 @@ def equivalent_fol(
     budget = budget or ProverBudget()
     f = universal_closure(f)
     g = universal_closure(g)
-    if print_fol(f) == print_fol(g):
+    if f == g:
         return equivalent()
 
     quick = min(2, budget.max_model_domain)

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from conftest import quantify, random_fol
+from formaltrip.pipeline.nl_codec import parse_description
 from formaltrip.syntax import parse_fol
 from formaltrip.syntax.nodes import And, Atom, LogicNode, Not, Or, Quantified, Variable
 from formaltrip.verify import (
@@ -338,6 +339,16 @@ def test_known_non_equivalences(left, right):
     assert independent_eval(universal_closure(f), v.witness) != independent_eval(
         universal_closure(g), v.witness
     )
+
+
+def test_a_constant_and_a_variable_of_one_name_are_not_equivalent():
+    # both print as "∀ x. P(x)": only the trees tell the constant from the variable
+    constant = parse_description("for every x , ( predicate P of ( object x ) )", "fol").ast
+    variable = parse_fol("∀x. P(x)")
+    assert constant != variable
+    v = equivalent_fol(constant, variable, QUICK)
+    assert v.status is Status.NOT_EQUIVALENT
+    assert independent_eval(constant, v.witness) != independent_eval(variable, v.witness)
 
 
 def test_reflexivity():

@@ -50,14 +50,17 @@ def _levels(unit: str, close: str, leaf: str, n: int) -> str:
     return "".join(unit.format(i=i % 4) for i in range(n)) + leaf + close * n
 
 
-# The shapes that overflowed soonest without a bound, each MAX_NESTING levels
-# deep: a '¬(' or '∀x. (' pair is two levels, '(1' with its ')*' also two.
-# Propositions repeat so that the verifier stays on its truth table.
+# The shapes that overflowed soonest without a bound, each with canonical
+# text MAX_NESTING levels deep: a '¬(' pair is two levels, '(1' with its ')*'
+# also two. Below the root chain, a quantified disjunct is printed as
+# '(∀ x. (... ∨ ', three levels, so 33 of them with a double negation at the
+# bottom nest 2 + 3 * 32 + 2 levels. Propositions repeat so that the verifier
+# stays on its truth table.
 HALF = MAX_NESTING // 2
 AT_BOUND = {
     "prop-negated-conjunctions": ("prop", _levels("¬(p{i} ∧ ", ")", "p9", HALF)),
     "prop-disjunctions": ("prop", _levels("(p{i} ∨ ", ")", "p9", MAX_NESTING)),
-    "fol-nested-quantifiers": ("fol", _levels("∀x{i}. (pred1(x{i}) ∨ ", ")", "pred2(c1)", HALF)),
+    "fol-nested-quantifiers": ("fol", _levels("∀x{i}. (pred1(x{i}) ∨ ", ")", "¬¬pred2(c1)", 33)),
     "fol-prefix": ("fol", _levels("∀x{i}. ", "", "pred1(c1)", MAX_NESTING)),
     "regex-starred-groups": ("regex", _levels("(1", ")*", "0", HALF)),
     "regex-stars": ("regex", "0" + "*" * MAX_NESTING),
@@ -70,11 +73,16 @@ def test_every_stage_runs_at_the_bound(formalism, reply):
     assert isinstance(expr, FormalExpression)
     expression_metric_value(expr, "operator_total", None, None)
     vocabulary_block(expr)
-    twin = simplify_expression(expr)
-    corrupted = corrupt_expression(expr, random.Random(0))
+    others = [simplify_expression(expr)]
+    if reply == AT_BOUND["fol-prefix"][1]:
+        # the corrupter's fallback negates the body of the root chain: 101 levels
+        with pytest.raises(ParseError, match=TOO_DEEP):
+            corrupt_expression(expr, random.Random(0))
+    else:
+        others.append(corrupt_expression(expr, random.Random(0)))
     assert nl_codec.parse_description(nl_codec.describe(expr), formalism) == expr
     budget = ProverBudget(max_clauses=200, max_seconds=5, max_model_domain=1)
-    for other in (twin, corrupted):
+    for other in others:
         verify_pair(formalism, expr.ast, other.ast, budget=budget)
     # one level more is refused
     deeper = "¬" + reply if formalism != "regex" else "(" + reply + ")*"
@@ -96,15 +104,22 @@ def test_bound_admits_depth_40_derivations(formalism, text):
     assert isinstance(parse_expression(formalism, text), FormalExpression)
 
 
-# A conjunction of quantified conjuncts nests one level per quantifier when
-# parsed, but its canonical text wraps every '∧' and every quantifier below
-# the root in parentheses, three levels per conjunct. So a formula that
-# parses can print to a text that does not: a dataset or results line that
-# `read_dataset`, `judge --balance` or the oracles cannot read back.
-QUANTIFIED_CHAIN = "pred1(c) ∧ " + " ∧ ".join(f"∀ x{i}. pred1(x{i})" for i in range(1, 41))
+# Formulas that nest within the bound as typed, but whose canonical text
+# does not: below the root, the printer wraps every '∧' and '∨' and every
+# quantifier in parentheses. A conjunction of 40 quantified conjuncts nests
+# 40 levels as typed and 120 as printed; 50 quantified disjuncts nest 100
+# as typed and 149 as printed. Each is refused like any other formula nested
+# too deep, so no dataset or results line holds a text that cannot be read
+# back.
+PRINTED_TOO_DEEP = {
+    "quantified-chain": "pred1(c) ∧ " + " ∧ ".join(f"∀ x{i}. pred1(x{i})" for i in range(1, 41)),
+    "nested-quantifiers": _levels("∀x{i}. (pred1(x{i}) ∨ ", ")", "pred2(c1)", HALF),
+}
+QUANTIFIED_CHAIN = PRINTED_TOO_DEEP["quantified-chain"]
 
 
-@pytest.mark.xfail(strict=True, raises=ParseError, reason="canonical text nests 120 levels")
-def test_canonical_text_of_a_parsed_formula_parses():
-    expr = parse_expression("fol", QUANTIFIED_CHAIN)
-    assert parse_expression("fol", expr.canonical_text) == expr
+@pytest.mark.parametrize("reply", PRINTED_TOO_DEEP.values(), ids=PRINTED_TOO_DEEP)
+def test_a_formula_whose_canonical_text_nests_too_deep_is_refused(reply):
+    with pytest.raises(ParseError, match=TOO_DEEP):
+        parse_expression("fol", reply)
+    assert extract_formal(reply, "fol") == NonCompliant(TOO_DEEP)

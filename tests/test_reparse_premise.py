@@ -1,6 +1,7 @@
-"""The premise of `parse_expression`'s table of non-canonical parses: a
-parser output is a fixed point of print-then-parse, unless its canonical
-text nests deeper than the parser admits, and `printed_nesting` tells which.
+"""The premise of `parse_expression`'s one table: a parser output is a
+fixed point of print-then-parse, and the printer refuses its canonical text
+exactly when that text would nest deeper than the parser admits, as told by
+`reference_print`, a printer and nesting count of its own kept here.
 
 Texts are written from seeded random trees with respaced tokens, ASCII
 aliases, and parentheses added or dropped; each text that parses is checked
@@ -36,8 +37,8 @@ from formaltrip.syntax.parse import (
     NOT_WORDS,
     OR_WORDS,
 )
-from formaltrip.syntax.printer import canonical_text, printed_nesting
-from test_nesting_bound import AT_BOUND, DEPTH_40, QUANTIFIED_CHAIN
+from formaltrip.syntax.printer import canonical_text
+from test_nesting_bound import AT_BOUND, DEPTH_40, PRINTED_TOO_DEEP
 
 TOO_DEEP = f"nesting deeper than {MAX_NESTING} levels"
 ALPHABET = {"0", "1"}
@@ -96,7 +97,7 @@ def regex_tokens(rng, node) -> list[str]:
 def respelled(rng, formalism, tree) -> str:
     """The canonical text of `tree`, respaced and with each operator in a
     random alias: the same parentheses, so about the same nesting."""
-    text = canonical_text(formalism, tree)
+    text = reference_print(formalism, tree)[0]
     if formalism == "regex":
         return joined(rng, list(text))
     tokens = re.findall(r"\w+|\S", text)
@@ -169,31 +170,84 @@ def cases(seed):
             yield formalism, joined(rng, tokens)
 
 
+def reference_print(formalism, tree) -> tuple[str, int]:
+    """The canonical text of `tree`, however deep, and the nesting the
+    parser counts in it: each '(', negation and quantifier body of a logic
+    formula, and each group and star of a regex, is one level."""
+    if formalism == "regex":
+        return _regex_print(tree)
+    prefix, levels = "", 0
+    while formalism == "fol" and type(tree) is Quantified:  # the root chain, printed bare
+        prefix += _quantifier(tree)
+        levels += 1
+        tree = tree.body
+    text, nesting = _logic_print(tree)
+    return prefix + text, levels + nesting
+
+
+def _quantifier(node) -> str:
+    return ("∀ " if node.kind == FORALL else "∃ ") + " ".join(node.variables) + ". "
+
+
+def _logic_print(node) -> tuple[str, int]:
+    t = type(node)
+    if t is Proposition:
+        return node.name, 0
+    if t is Atom:
+        args = ", ".join(term.name for term in node.terms)
+        return (f"{node.predicate}({args})" if node.terms else node.predicate), 0
+    if t is Not:
+        text, nesting = _logic_print(node.child)
+        return "¬" + text, 1 + nesting
+    if t is Quantified:  # '(' and the body
+        text, nesting = _logic_print(node.body)
+        return f"({_quantifier(node)}{text})", 2 + nesting
+    parts = [_logic_print(child) for child in node.children]
+    joiner = " ∧ " if t is And else " ∨ "
+    return "(" + joiner.join(text for text, _ in parts) + ")", 1 + max(n for _, n in parts)
+
+
+def _regex_print(node) -> tuple[str, int]:
+    t = type(node)
+    if t is Literal:
+        return node.symbol, 0
+    if t is Star:
+        text, nesting = _regex_print(node.child)
+        if type(node.child) is Concat:  # a group and its star
+            return f"({text})*", 2 + nesting
+        return text + "*", 1 + nesting
+    parts = [_regex_print(child) for child in node.children]
+    return "".join(text for text, _ in parts), max(n for _, n in parts)
+
+
 def check(formalism, text, outcomes):
-    """Parse `text`; its canonical text reparses to the same tree exactly
-    when its printed nesting is within the bound. Returns that nesting, or
-    None when `text` itself does not parse."""
+    """Parse `text`; the printer refuses its canonical text exactly when the
+    reference count of its nesting passes the bound, when the parser refuses
+    the reference text too, and otherwise that text reparses to the same tree. Returns that count, or None when `text` itself
+    does not parse."""
     parse = PARSERS[formalism]
     try:
         tree = parse(text)
     except ParseError:
         return None
-    printed = canonical_text(formalism, tree)
-    nesting = printed_nesting(formalism, tree)
+    reference, nesting = reference_print(formalism, tree)
     try:
-        again = parse(printed)
+        printed = canonical_text(formalism, tree)
     except ParseError as e:
-        assert nesting > MAX_NESTING, f"{printed!r} from {text!r}: {e}"
+        assert nesting > MAX_NESTING, f"{reference!r} from {text!r} refused at nesting {nesting}"
         assert str(e) == TOO_DEEP
+        with pytest.raises(ParseError, match=TOO_DEEP):
+            parse(reference)
         outcomes["too deep"] += 1
     else:
-        assert nesting <= MAX_NESTING, f"{printed!r} from {text!r} parsed at nesting {nesting}"
-        assert again == tree, f"{printed!r} from {text!r}"
+        assert nesting <= MAX_NESTING, f"{printed!r} from {text!r} printed at nesting {nesting}"
+        assert printed == reference
+        assert parse(printed) == tree, f"{printed!r} from {text!r}"
         outcomes["within"] += 1
     return nesting
 
 
-SHAPES = {**AT_BOUND, **DEPTH_40, "quantified-chain": ("fol", QUANTIFIED_CHAIN)}
+SHAPES = {**AT_BOUND, **DEPTH_40, **{name: ("fol", text) for name, text in PRINTED_TOO_DEEP.items()}}
 
 
 @pytest.mark.parametrize("formalism,text", SHAPES.values(), ids=SHAPES)

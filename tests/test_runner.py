@@ -260,6 +260,26 @@ def test_verifier_exception_is_an_error_on_its_record(monkeypatch):
             )
 
 
+def test_a_corruption_nested_too_deep_is_an_error_on_its_record():
+    from formaltrip.storage import dataset_record_from_json
+    from test_nesting_bound import AT_BOUND, TOO_DEEP
+
+    records = [
+        dataset_record_from_json({
+            "id": f"f{i}", "formalism": "fol", "grammar_id": "fol", "batch_index": 0,
+            "category_metric": "cfg_depth", "category_value": 2, "expression": text,
+            "cfg_depth": 2, "vocabulary": {}, "seed": 1,
+        })
+        # negating the body of the first one's root chain nests 101 levels
+        for i, text in enumerate((AT_BOUND["fol-prefix"][1], "∀ x1. pred1(x1)"))
+    ]
+    corrupting = Provider(ProviderConfig(kind="corrupting_oracle"))
+    deep, shallow = run_round_trips(records, corrupting, load_template_set("fol", 0))
+    assert deep.error == f"ParseError: {TOO_DEEP}"
+    assert deep.verdict_status is None
+    assert shallow.error is None and shallow.verdict_status == "not_equivalent"
+
+
 def test_skip_ids_resume_semantics():
     records = dataset()
     templates = load_template_set("prop", 0)

@@ -53,8 +53,8 @@ class DerivationNode:
         return " ".join(self.sentential_form)
 
 
-# one way to rewrite a nonterminal: (right-hand side, nonterminals in it)
-Option = tuple[tuple[str, ...], int]
+# one way to rewrite a nonterminal: (right-hand side, its nonterminals' offsets)
+Option = tuple[tuple[str, ...], tuple[int, ...]]
 
 
 def grow_tree(
@@ -69,28 +69,30 @@ def grow_tree(
     nonterminals = grammar.nonterminals
     options: dict[str, list[Option]] = {nt: [] for nt in nonterminals}
     for lhs, rhs in grammar.rules:
-        options[lhs].append((rhs, sum(sym in nonterminals for sym in rhs)))
+        options[lhs].append((rhs, tuple(k for k, sym in enumerate(rhs) if sym in nonterminals)))
 
-    level = [DerivationNode((grammar.start,), 0)]
+    # each level entry is a node and the positions of the nonterminals in its form
+    level = [(DerivationNode((grammar.start,), 0), [0])]
     leaves: list[DerivationNode] | None = [] if on_leaf is None else None
     reached = 0
     for step in range(config.depth):
         # nonterminal children wait as (parent, nonterminal positions, combo)
         pending = []
-        for node in level:
+        for node, positions in level:
             form = node.sentential_form
-            positions = [i for i, sym in enumerate(form) if sym in nonterminals]
             # draw every combo before emitting any leaf: on_leaf may draw from rng
             for combo in _combos([options[form[i]] for i in positions], config.branching, rng):
-                if any(opt[1] for opt in combo):
-                    pending.append((node, positions, combo))
-                    continue
-                reached += 1
-                leaf = _build(node, positions, combo)
-                if leaves is not None:
-                    leaves.append(leaf)
+                for _, offsets in combo:
+                    if offsets:
+                        pending.append((node, positions, combo))
+                        break
                 else:
-                    on_leaf(leaf)
+                    reached += 1
+                    leaf = _build(node, positions, combo)[0]
+                    if leaves is not None:
+                        leaves.append(leaf)
+                    else:
+                        on_leaf(leaf)
         if step + 1 == config.depth:
             break
         if len(pending) > config.branching:
@@ -132,15 +134,23 @@ def _draw(choices: list[list[Option]], n: int, getrandbits) -> list[tuple[Option
     return combos
 
 
-def _build(parent: DerivationNode, positions: list[int], combo: tuple[Option, ...]) -> DerivationNode:
+def _build(
+    parent: DerivationNode, positions: list[int], combo: tuple[Option, ...]
+) -> tuple[DerivationNode, list[int]]:
     """The child of `parent` that rewrites the nonterminal at each position
-    with the matching option of `combo`."""
+    with the matching option of `combo`, and the positions of the
+    nonterminals in the child's form: every symbol of the parent's form
+    outside `positions` is a terminal, so these are the options' offsets."""
     form = parent.sentential_form
     new_form: list[str] = []
+    new_positions: list[int] = []
     cursor = 0
-    for pos, (rhs, _) in zip(positions, combo):
+    for pos, (rhs, offsets) in zip(positions, combo):
         new_form.extend(form[cursor:pos])
+        if offsets:
+            base = len(new_form)
+            new_positions.extend([base + k for k in offsets])
         new_form.extend(rhs)
         cursor = pos + 1
     new_form.extend(form[cursor:])
-    return DerivationNode(tuple(new_form), parent.depth + 1)
+    return DerivationNode(tuple(new_form), parent.depth + 1), new_positions

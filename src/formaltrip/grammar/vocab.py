@@ -103,20 +103,32 @@ def instantiate(
     formalism = GRAMMAR_FORMALISM.get(grammar_id, grammar_id)
     if formalism not in ("prop", "fol", "regex"):
         raise ValueError(f"cannot instantiate grammar {grammar_id!r}")
+    getrandbits = rng.getrandbits
     if formalism == "fol":
         text = _instantiate_fol(leaf.sentential_form, realized, config, rng)
     elif formalism == "prop":
         text = " ".join(
-            rng.choice(realized.propositions) if sym == "v" else sym
+            _choice(realized.propositions, getrandbits) if sym == "v" else sym
             for sym in leaf.sentential_form
         )
     elif formalism == "regex":
         text = "".join(
-            rng.choice(realized.alphabet) if sym == "Σ" else sym
+            _choice(realized.alphabet, getrandbits) if sym == "Σ" else sym
             for sym in leaf.sentential_form
         )
     alphabet = set(realized.alphabet) if formalism == "regex" else None
     return parse_expression(formalism, text, alphabet)
+
+
+def _choice(seq, getrandbits):
+    """`rng.choice(seq)`, drawn as `derive._draw` draws: `getrandbits` of the
+    size's bit width until the value is below the size."""
+    size = len(seq)
+    bits = size.bit_length()
+    r = getrandbits(bits)
+    while r >= size:
+        r = getrandbits(bits)
+    return seq[r]
 
 
 def _instantiate_fol(form, realized, config, rng: random.Random) -> str:
@@ -124,6 +136,8 @@ def _instantiate_fol(form, realized, config, rng: random.Random) -> str:
     frames: list[str | None] = []  # one per open '(': the variable it binds, if any
     in_scope: list[str] = []
     var_count = 0
+    predicates = sorted(realized.predicates)
+    getrandbits = rng.getrandbits
     prepend: list[str] | None = None  # [glyph, name] once a scope-less slot triggers
 
     def fresh_var() -> str:
@@ -147,29 +161,29 @@ def _instantiate_fol(form, realized, config, rng: random.Random) -> str:
             in_scope.append(name)
             out.append(name)
         elif sym == "v":
-            out.append(rng.choice(realized.propositions))
+            out.append(_choice(realized.propositions, getrandbits))
         elif sym == "p":
-            name = rng.choice(sorted(realized.predicates))
+            name = _choice(predicates, getrandbits)
             arity = realized.predicates[name]
             args = []
             for _ in range(arity):
                 use_var = rng.random() < config.free_variable_prob
                 if use_var and in_scope:
-                    args.append(rng.choice(in_scope))
+                    args.append(_choice(in_scope, getrandbits))
                 elif use_var and prepend is None:
                     if (
                         config.max_free_variables is not None
                         and var_count + 1 > config.max_free_variables
                     ):
-                        args.append(rng.choice(realized.objects))
+                        args.append(_choice(realized.objects, getrandbits))
                     else:
-                        glyph = rng.choice(("∀", "∃"))
+                        glyph = _choice(("∀", "∃"), getrandbits)
                         name_v = fresh_var()
                         prepend = [glyph, name_v]
                         in_scope.append(name_v)
                         args.append(name_v)
                 else:
-                    args.append(rng.choice(realized.objects))
+                    args.append(_choice(realized.objects, getrandbits))
             out.append(f"{name}({', '.join(args)})")
         else:
             out.append(sym)

@@ -12,7 +12,9 @@ from __future__ import annotations
 from ..syntax.nodes import (
     EXISTS,
     FORALL,
+    MAX_NESTING,
     REGEX,
+    TOO_DEEP,
     And,
     Atom,
     Concat,
@@ -21,6 +23,7 @@ from ..syntax.nodes import (
     Literal,
     Not,
     Or,
+    ParseError,
     Proposition,
     Quantified,
     Star,
@@ -144,13 +147,20 @@ class _Parser:
             if tok != w:
                 raise NlCodecError(f"expected {w!r}, got {tok!r}")
 
-    def group(self):
+    def group(self, depth: int):
         self.expect("(")
-        node = self.node()
+        node = self.node(depth)
         self.expect(")")
         return node
 
-    def node(self):
+    def node(self, depth: int = 0):
+        """The node `depth` levels down: each group and quantifier body is one
+        level, as in the parser. A description of a parsed expression opens
+        at most one level more than its canonical text, the group around a
+        first-order body or a regex sequence; `make_expression` refuses the
+        rest of what nests too deep."""
+        if depth > MAX_NESTING + 1:
+            raise ParseError(TOO_DEEP)
         tok = self.next()
         entry = self.entries.get("the " + self.next() if tok == "the" else tok)
         if entry is None:
@@ -162,7 +172,7 @@ class _Parser:
             return self.atom()
         if kind == "(":
             self.i -= 1
-            return self.group()
+            return self.group(depth + 1)
         self.expect(*rest)
         if kind in QUANTIFIERS:
             names = [self.next()]
@@ -170,13 +180,13 @@ class _Parser:
                 self.next()
                 names.append(self.next())
             self.expect(*after)
-            return Quantified(kind, tuple(names), self.node())
+            return Quantified(kind, tuple(names), self.node(depth + 1))
         if after is None:
-            return kind(self.group())
-        children = [self.group()]
+            return kind(self.group(depth + 1))
+        children = [self.group(depth + 1)]
         while self.peek() == after and self.i + 1 < len(self.tokens) and self.tokens[self.i + 1] == "(":
             self.next()
-            children.append(self.group())
+            children.append(self.group(depth + 1))
         return kind(tuple(children))
 
     def atom(self):

@@ -1,4 +1,6 @@
-"""Tokenizers and recursive-descent parsers for the three formalisms.
+"""Tokenizers and parsers for the three formalisms: the logic parser is one
+loop over the token list with a stack of open groups, the regex parser
+recurses once per group, and both reject text nested past MAX_NESTING.
 
 Parsing normalizes layout only: redundant parentheses are dropped and
 directly nested And/Or chains are flattened to n-ary nodes. No semantic
@@ -20,6 +22,7 @@ from .nodes import (
     PROP,
     REGEX,
     TOO_DEEP,
+    And,
     Atom,
     Concat,
     Constant,
@@ -27,15 +30,13 @@ from .nodes import (
     Literal,
     LogicNode,
     Not,
+    Or,
     ParseError,
     Proposition,
     Quantified,
     RegexAst,
     Star,
     Variable,
-    flatten_and,
-    flatten_or,
-    walk,
 )
 from .printer import make_expression
 
@@ -110,143 +111,158 @@ def _located(text: str, failure: _Failure) -> ParseError:
 
 
 def _parse_logic(text: str, fol: bool) -> LogicNode:
+    """The logic tree of `text`, or its located ParseError."""
     if not text.strip():
         raise ParseError("empty input", 0, "formula")
     toks = _LOGIC_TOKEN.findall(text)
     toks.append(_END)
-    parser = _LogicParser(toks, fol)
     try:
-        node = parser.disjunction()
-        tok = toks[parser.i]
-        if tok != _END:
-            raise _Failure(f"trailing input {tok!r}", parser.i, "end of input")
+        return _read_logic(toks, fol)
     except _Failure as failure:
         raise _located(text, failure) from None
-    return node
 
 
-class _LogicParser:
-    """Recursive descent over a token list that ends with `_END`. Any token
-    that is neither an identifier nor an operator stops every rule, so a
-    parse that succeeds has met none.
+def _read_logic(toks: list[str], fol: bool) -> LogicNode:
+    """The logic tree of a token list that ends with `_END`. Or binds loosest,
+    then And, then ¬ and (first-order only) quantifiers, whose body reaches
+    to the end of the enclosing group. Each open '(' and quantifier body is
+    a frame that keeps the enclosing Or parts, And parts and pending
+    negations; it ends at the first token that is neither And nor Or. Each
+    '(', negation and quantifier body is one nesting level. A token that is
+    neither an identifier nor an operator is a failure wherever it stands.
 
-    Leaves are hash-consed within the parse: each distinct Proposition,
-    term and Atom is built once and shared by every later occurrence."""
-
-    def __init__(self, toks: list[str], fol: bool):
-        self.toks = toks
-        self.i = 0
-        self.fol = fol
-        self.scopes: list[set[str]] = []
-        self.depth = 0
-        self.leaves: dict[tuple, LogicNode | Constant | Variable] = {}
-
-    def leaf(self, cls, *fields):
-        """The one `cls(*fields)` of this parse, built on first use."""
-        key = (cls, *fields)
-        node = self.leaves.get(key)
-        if node is None:
-            node = self.leaves[key] = cls(*fields)
-        return node
-
-    def nested(self, rule) -> LogicNode:
-        """`rule()` one nesting level down."""
-        if self.depth == MAX_NESTING:
-            raise _Failure(TOO_DEEP, self.i, "shallower formula")
-        self.depth += 1
-        node = rule()
-        self.depth -= 1
-        return node
-
-    def take(self) -> str:
-        """The next token, consumed; end of input is an error."""
-        tok = self.toks[self.i]
-        if tok == _END:
-            raise _Failure("unexpected end of input", self.i, "expression")
-        self.i += 1
-        return tok
-
-    def disjunction(self) -> LogicNode:
-        parts = [self.conjunction()]
-        while self.toks[self.i] in OR_WORDS:
-            self.i += 1
-            parts.append(self.conjunction())
-        return flatten_or(parts) if len(parts) > 1 else parts[0]
-
-    def conjunction(self) -> LogicNode:
-        parts = [self.unary()]
-        while self.toks[self.i] in AND_WORDS:
-            self.i += 1
-            parts.append(self.unary())
-        return flatten_and(parts) if len(parts) > 1 else parts[0]
-
-    def unary(self) -> LogicNode:
-        """A negation, a quantified formula (first-order only), a
-        parenthesized formula or an atom."""
-        tok = self.toks[self.i]
-        self.i += 1
-        cls = _WORD_CLASS.get(tok)
-        if cls == "not":
-            return Not(self.nested(self.unary))
-        if self.fol and (cls == FORALL or cls == EXISTS):
-            return self.quantified(cls)
-        if tok == "(":
-            node = self.nested(self.disjunction)
-            if self.toks[self.i] != ")":
-                raise _Failure("expected ')'", self.i, ")")
-            self.i += 1
-            return node
-        if tok[:1] in _IDENT_START and cls is None:  # a keyword names no atom
-            return self.predicate(tok) if self.fol else self.leaf(Proposition, tok)
-        if tok == _END:
-            raise _Failure("unexpected end of input", self.i - 1, "formula")
-        raise _Failure(f"unexpected {tok!r}", self.i - 1, "atom")
-
-    def quantified(self, kind: str) -> LogicNode:
-        """The variables and body after a quantifier token."""
-        toks = self.toks
-        start = self.i - 1
-        variables: list[str] = []
-        while (tok := toks[self.i])[:1] in _IDENT_START and tok not in _WORD_CLASS:
-            # once at least one variable is read, an identifier followed by '('
-            # starts the body (a predicate application), e.g. "∀x1 pred3(p5, x1)"
-            if variables and toks[self.i + 1] == "(":
-                break
-            variables.append(tok)
-            self.i += 1
-        if toks[self.i] == ".":
-            self.i += 1
-        if not variables:
-            raise _Failure("quantifier binds no variables", start, "variable list")
-        self.scopes.append(set(variables))
-        # maximal scope: the body is the rest of the current subformula
-        body = self.nested(self.disjunction)
-        self.scopes.pop()
-        return Quantified(kind, tuple(variables), body)
-
-    def predicate(self, name: str) -> Atom:
-        terms: list[Constant | Variable] = []
-        if self.toks[self.i] == "(":
-            self.i += 1
-            while True:
-                arg = self.take()
-                if arg[0] not in _IDENT_START:
-                    raise _Failure(f"expected term, got {arg!r}", self.i - 1, "term")
-                terms.append(self.term(arg))
-                sep = self.take()
-                if sep == ")":
+    Each distinct Proposition, term and Atom is built once per parse and
+    shared. A predicate used with two arities raises ArityError once the
+    whole text has parsed."""
+    word_class = _WORD_CLASS
+    i = depth = nots = 0
+    ors: list[LogicNode] = []
+    ands: list[LogicNode] = []
+    # per open frame: the enclosing ors, ands and nots, and the quantifier
+    # (kind, variables) whose body it is, or None for a '('
+    frames: list[tuple] = []
+    bound: dict[str, int] = {}  # variable name -> open quantifiers binding it
+    leaves: dict = {}
+    arities: dict[str, int] = {}
+    clash = None  # the first (predicate, arity, expected) that disagrees
+    while True:
+        # one operand: prefix operators open levels until an atom completes it
+        tok = toks[i]
+        i += 1
+        cls = word_class.get(tok)
+        if cls is None and tok[:1] in _IDENT_START:
+            if not fol:
+                node = leaves.get(tok)
+                if node is None:
+                    node = leaves[tok] = Proposition(tok)
+            else:
+                terms: list[Constant | Variable] = []
+                if toks[i] == "(":
+                    i += 1
+                    while True:
+                        arg = toks[i]
+                        if arg == _END:
+                            raise _Failure("unexpected end of input", i, "expression")
+                        if arg[0] not in _IDENT_START:
+                            raise _Failure(f"expected term, got {arg!r}", i, "term")
+                        # bound by an enclosing quantifier => variable, else constant
+                        key = (Variable if bound.get(arg) else Constant, arg)
+                        term = leaves.get(key)
+                        if term is None:
+                            term = leaves[key] = key[0](arg)
+                        terms.append(term)
+                        sep = toks[i + 1]
+                        i += 2
+                        if sep == ")":
+                            break
+                        if sep != ",":
+                            if sep == _END:
+                                raise _Failure("unexpected end of input", i - 1, "expression")
+                            raise _Failure(f"expected ',' or ')', got {sep!r}", i - 1, ", or )")
+                # keyed on the built terms: a name is a Variable only inside its scope
+                key = (tok, *terms)
+                node = leaves.get(key)
+                if node is None:
+                    node = leaves[key] = Atom(tok, tuple(terms))
+                    expected = arities.setdefault(tok, len(terms))
+                    if clash is None and expected != len(terms):
+                        clash = (tok, len(terms), expected)
+        elif cls == "not":
+            if depth == MAX_NESTING:
+                raise _Failure(TOO_DEEP, i, "shallower formula")
+            depth += 1
+            nots += 1
+            continue
+        elif tok == "(" or fol and (cls == FORALL or cls == EXISTS):
+            quantifier = None
+            if tok != "(":
+                start = i - 1
+                variables: list[str] = []
+                while (var := toks[i])[:1] in _IDENT_START and var not in word_class:
+                    # once at least one variable is read, an identifier followed
+                    # by '(' starts the body, e.g. "∀x1 pred3(p5, x1)"
+                    if variables and toks[i + 1] == "(":
+                        break
+                    variables.append(var)
+                    i += 1
+                if toks[i] == ".":
+                    i += 1
+                if not variables:
+                    raise _Failure("quantifier binds no variables", start, "variable list")
+                quantifier = (cls, tuple(variables))
+                for var in set(variables):
+                    bound[var] = bound.get(var, 0) + 1
+            if depth == MAX_NESTING:
+                raise _Failure(TOO_DEEP, i, "shallower formula")
+            depth += 1
+            frames.append((ors, ands, nots, quantifier))
+            ors, ands, nots = [], [], 0
+            continue
+        elif tok == _END:
+            raise _Failure("unexpected end of input", i - 1, "formula")
+        else:
+            raise _Failure(f"unexpected {tok!r}", i - 1, "atom")
+        # the operand is complete: close its negations, then every frame
+        # that the next token ends
+        while True:
+            if nots:
+                depth -= nots
+                for _ in range(nots):
+                    node = Not(node)
+                nots = 0
+            tok = toks[i]
+            # a parenthesized chain of the same kind is spliced in
+            conjoined = tok in AND_WORDS
+            if conjoined or ands:
+                ands += node.children if type(node) is And else (node,)
+                if conjoined:
                     break
-                if sep != ",":
-                    raise _Failure(f"expected ',' or ')', got {sep!r}", self.i - 1, ", or )")
-        # keyed on the built terms: a name is a Variable only inside its scope
-        return self.leaf(Atom, name, tuple(terms))
-
-    def term(self, name: str) -> Constant | Variable:
-        # bound by an enclosing quantifier => variable; anything else is a constant
-        for scope in self.scopes:
-            if name in scope:
-                return self.leaf(Variable, name)
-        return self.leaf(Constant, name)
+                node = And(tuple(ands))
+                ands = []
+            disjoined = tok in OR_WORDS
+            if disjoined or ors:
+                ors += node.children if type(node) is Or else (node,)
+                if disjoined:
+                    break
+                node = Or(tuple(ors))
+            if not frames:
+                if tok != _END:
+                    raise _Failure(f"trailing input {tok!r}", i, "end of input")
+                if clash is not None:
+                    raise ArityError(*clash)
+                return node
+            ors, ands, nots, quantifier = frames.pop()
+            depth -= 1
+            if quantifier is None:
+                if tok != ")":
+                    raise _Failure("expected ')'", i, ")")
+                i += 1
+            else:
+                kind, variables = quantifier
+                for var in set(variables):
+                    bound[var] -= 1
+                node = Quantified(kind, variables, node)
+        i += 1
 
 
 # ---------------------------------------------------------------------------
@@ -265,15 +281,7 @@ def parse_fol(text: str) -> LogicNode:
     depth as Quantified nodes. Terms bound by an enclosing quantifier are
     variables, all others constants.
     """
-    formula = _parse_logic(text, fol=True)
-    seen: dict[str, int] = {}
-    for node in walk(formula):
-        if type(node) is Atom:
-            arity = len(node.terms)
-            expected = seen.setdefault(node.predicate, arity)
-            if arity != expected:
-                raise ArityError(node.predicate, arity, expected)
-    return formula
+    return _parse_logic(text, fol=True)
 
 
 # ---------------------------------------------------------------------------

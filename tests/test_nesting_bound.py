@@ -9,6 +9,7 @@ at depth 40, and every stage must still run on a formula at the bound.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -22,6 +23,8 @@ from formaltrip.syntax import (
     ParseError,
     extract_formal,
     parse_expression,
+    parse_fol,
+    parse_prop,
     simplify_expression,
 )
 from formaltrip.syntax.parse import MAX_NESTING
@@ -123,3 +126,76 @@ def test_a_formula_whose_canonical_text_nests_too_deep_is_refused(reply):
     with pytest.raises(ParseError, match=TOO_DEEP):
         parse_expression("fol", reply)
     assert extract_formal(reply, "fol") == NonCompliant(TOO_DEEP)
+
+
+# Descriptions nested past the bound, in the shapes the codec reads by
+# recursion: a group per negation or star, and a quantifier body without a
+# group, as `describe` writes the root chain of a first-order formula.
+def _deep_descriptions(n):
+    return {
+        "negations": ("prop", "the negation of ( " * n + "proposition p1" + " )" * n),
+        "quantifiers": ("fol", "for every x , " * n + "( predicate P of ( variable x ) )"),
+        "stars": ("regex", "zero or more repetitions of ( " * n + "symbol 0" + " )" * n),
+    }
+
+
+@pytest.mark.parametrize("levels", [2_000, 20_000])
+def test_a_description_nested_too_deep_is_a_parse_error(levels):
+    for formalism, text in _deep_descriptions(levels).values():
+        with pytest.raises(ParseError, match=TOO_DEEP):
+            nl_codec.parse_description(text, formalism)
+
+
+def test_an_interpretation_nested_too_deep_is_an_error_on_its_record():
+    from formaltrip.pipeline import Completion, Provider, ProviderConfig, load_template_set
+    from formaltrip.pipeline.providers import classify_prompt
+    from formaltrip.pipeline.runner import round_trip
+    from formaltrip.storage import dataset_record_from_json
+
+    class DeepInterpreter(Provider):
+        """The perfect oracle, except that it describes every formula as a
+        negation nested 2,000 levels deep."""
+
+        def complete(self, prompt):
+            if classify_prompt(prompt).direction == "interpret":
+                return Completion(_deep_descriptions(2_000)["negations"][1])
+            return super().complete(prompt)
+
+    record = dataset_record_from_json({
+        "id": "r0", "formalism": "prop", "grammar_id": "prop", "batch_index": 0,
+        "category_metric": "cfg_depth", "category_value": 2, "expression": "¬p1",
+        "cfg_depth": 2, "vocabulary": {}, "seed": 1,
+    })
+    provider = DeepInterpreter(ProviderConfig(kind="perfect_oracle"))
+    out = round_trip(record, provider, load_template_set("prop", 0))
+    assert out.error == f"ParseError: {TOO_DEEP}"
+    assert not out.raw_reply and out.verdict_status is None
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+AT_BOUND_LOGIC = {
+    "negations": (parse_prop, "¬" * MAX_NESTING + "p1"),
+    "parentheses": (parse_prop, "(" * MAX_NESTING + "p1 ∧ p2" + ")" * MAX_NESTING),
+    "negated-groups": (parse_prop, "¬(" * HALF + "p1" + ")" * HALF),
+    "quantifier-bodies": (parse_fol, "∀x. " * MAX_NESTING + "pred1(x, c)"),
+    "quantified-groups": (parse_fol, "∃y. (" * HALF + "pred1(y, c)" + ")" * HALF),
+}
+
+
+@pytest.mark.parametrize("parse,text", AT_BOUND_LOGIC.values(), ids=AT_BOUND_LOGIC)
+def test_the_logic_parser_needs_no_stack_per_level(parse, text):
+    # a parser that recursed per level would need hundreds of frames here
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 30)
+    try:
+        tree = parse(text)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert tree == parse(text)

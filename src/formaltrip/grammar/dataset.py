@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from ..syntax import FormalExpression
-from ..syntax.nodes import And, Not, Or, Star, walk
+from ..syntax.nodes import And, Concat, Not, Or, Quantified, Star
 from ..syntax.parse import AND_WORDS, NOT_WORDS, OR_WORDS
 from ..verify.regex import compile_regex, dfa_metrics
 from .cfg import GrammarSpec, infer_formalism
@@ -81,18 +81,34 @@ def expression_metric_value(
     if metric == "cfg_depth":
         return cfg_depth
     if metric in COUNT_METRICS:
-        types = COUNT_METRICS[metric][1]
-        return sum(
-            len(node.children) - 1 if type(node) in (And, Or) else 1
-            for node in walk(expr.ast)
-            if type(node) in types
-        )
+        return _operator_count(expr.ast, COUNT_METRICS[metric][1])
     m = dfa_metrics(compile_regex(expr.ast, alphabet))
     return {
         "dfa_nodes": m.node_count,
         "dfa_edges": m.edge_count,
         "dfa_density": m.density,
     }[metric]
+
+
+def _operator_count(node, types: tuple) -> int:
+    """How many operators of the node types the tree under node holds: an
+    n-ary And/Or counts n-1, any other node one."""
+    count = 0
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        t = type(node)
+        if t is And or t is Or or t is Concat:
+            stack.extend(node.children)
+            if t in types:
+                count += len(node.children) - 1
+        elif t is Not or t is Star:
+            stack.append(node.child)
+            if t in types:
+                count += 1
+        elif t is Quantified:
+            stack.append(node.body)
+    return count
 
 
 def check_metric(metric: str, formalism: str) -> None:

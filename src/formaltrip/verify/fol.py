@@ -167,12 +167,21 @@ def _is_tautology(clause: tuple) -> bool:
 #
 # A built clause is a tuple of distinct literals with its variables numbered
 # 0, 1, ... by first occurrence; the copy of a kept clause renamed apart from
-# the given clause maps each variable v to ~v.
+# the given clause maps each variable v to ~v. A literal is plain when every
+# argument is a constant, or it has none: a plain literal is ground, renaming
+# leaves it as it is, and it unifies with or matches only an equal one.
 
-def _build(lits, subst: dict) -> tuple[tuple, bool]:
+def _is_plain(args: tuple) -> bool:
+    for t in args:
+        if type(t) is not str:
+            return False
+    return True
+
+
+def _build(lits, subst: dict) -> tuple:
     """Apply subst to lits, keep the first of repeated literals and number
-    the variables 0, 1, ... by first occurrence; also whether the clause is
-    ground."""
+    the variables 0, 1, ... by first occurrence. A plain literal of lits is
+    kept as it is."""
     ids: dict = {}
 
     def term(t):
@@ -184,8 +193,9 @@ def _build(lits, subst: dict) -> tuple[tuple, bool]:
             return t
         return (t[0], tuple([term(a) for a in t[1]]))
 
-    clause = tuple(dict.fromkeys([(s, p, tuple([term(t) for t in args])) for s, p, args in lits]))
-    return clause, not ids
+    return tuple(dict.fromkeys([
+        lit if _is_plain(lit[2]) else (lit[0], lit[1], tuple([term(t) for t in lit[2]]))
+        for lit in lits]))
 
 
 def _renamed(term):
@@ -232,15 +242,6 @@ def _occurs(var: int, term: tuple, subst: dict) -> bool:
     return False
 
 
-def _by_signature(clause: tuple, bit: dict) -> dict:
-    """(index, args) of a clause's literals grouped by the bit of their
-    (sign, predicate), each group in clause order."""
-    groups: dict = {}
-    for j, (sign, pred, args) in enumerate(clause):
-        groups.setdefault(bit[sign, pred], []).append((j, args))
-    return groups
-
-
 def _subsumes(c: tuple, d: tuple, c_ground: bool) -> bool:
     """True when some substitution maps every literal of c into d. A
     ground c has only the empty substitution."""
@@ -248,46 +249,59 @@ def _subsumes(c: tuple, d: tuple, c_ground: bool) -> bool:
         return False
     if c_ground:
         return all(lit in d for lit in c)
+    return _match(c, 0, d, {})
 
-    def match(i: int, subst: dict) -> bool:
-        if i == len(c):
-            return True
-        sign, pred, args = c[i]
-        for dsign, dpred, dargs in d:
-            if dsign != sign or dpred != pred:
-                continue
-            nxt = _unify_match(args, dargs, subst)
-            if nxt is not None and match(i + 1, nxt):
+
+def _match(lits: tuple, i: int, d: tuple, subst: dict) -> bool:
+    """Whether one extension of subst maps lits[i:] into the clause d, the
+    variables of lits binding one way. The bindings a literal makes are
+    the last ones in subst's insertion order, so they are popped again
+    before that literal is matched elsewhere."""
+    if i == len(lits):
+        return True
+    sign, pred, args = lits[i]
+    mark = len(subst)
+    for dsign, dpred, dargs in d:
+        if dsign == sign and dpred == pred:
+            if _match_args(args, dargs, subst) and _match(lits, i + 1, d, subst):
                 return True
-        return False
+            while len(subst) > mark:
+                subst.popitem()
+    return False
 
-    return match(0, {})
 
-
-def _unify_match(xs: tuple, ys: tuple, subst: dict) -> dict | None:
-    """One-way matching: variables may bind in xs only."""
+def _match_args(xs: tuple, ys: tuple, subst: dict) -> bool:
+    """Extend subst so that it maps the argument tuple xs to ys, variables
+    binding in xs only. On False subst may hold bindings made on the way."""
     if len(xs) != len(ys):
-        return None
+        return False
     for x, y in zip(xs, ys):
-        subst2 = _match_term(x, y, subst)
-        if subst2 is None:
-            return None
-        subst = subst2
-    return subst
+        t = type(x)
+        if t is int:
+            if x not in subst:
+                subst[x] = y
+            elif subst[x] != y:
+                return False
+        elif t is str:
+            if x != y:
+                return False
+        elif type(y) is not tuple or x[0] != y[0] or not _match_args(x[1], y[1], subst):
+            return False
+    return True
 
 
-def _match_term(x, y, subst) -> dict | None:
-    t = type(x)
-    if t is int:
-        bound = subst.get(x)
-        if bound is None:
-            return {**subst, x: y}
-        return subst if bound == y else None
-    if t is str:
-        return subst if x == y else None
-    if type(y) is tuple and x[0] == y[0]:
-        return _unify_match(x[1], y[1], subst)
-    return None
+def _kept_subsumes(kept: list, given: tuple, literals: frozenset, sig: int) -> bool:
+    """Whether a kept clause subsumes given, whose literal set and signature
+    are literals and sig: one no longer, whose signature is within sig,
+    whose plain part is in literals and whose variable part matches into
+    given."""
+    size = len(given)
+    for k in kept:
+        k_sig = k[1]
+        if (k_sig | sig == sig and k[2] <= size and literals.issuperset(k[3])
+                and (not k[4] or _match(k[4], 0, given, {}))):
+            return True
+    return False
 
 
 def resolution_refute(clauses, budget: ProverBudget) -> str:
@@ -303,68 +317,100 @@ def resolution_refute(clauses, budget: ProverBudget) -> str:
     which follow the kept clauses in the order they were kept, so the
     search follows the input's order.
 
-    Each (sign, predicate) pair has one bit, and a clause's signature is
-    the bitmask of its literals' pairs. Each kept clause carries its
-    signature, whether it is ground, and a copy renamed apart with that
-    copy's literals grouped by bit. A clause can subsume only one whose
-    signature holds its own, a clause resolves only with one whose
-    signature meets its complement, and only a clause whose signature
-    meets its own complement can be a tautology: pairs failing these tests
-    are skipped without unifying anything.
+    Each predicate has a positive and a negative bit, and a clause's
+    signature is the bitmask of its literals' bits. A clause can subsume
+    only one whose signature holds its own, a clause resolves only with
+    one whose signature meets its complement, and only a clause whose
+    signature meets its own complement can be a tautology: pairs failing
+    these tests are skipped without unifying anything.
+
+    Each kept clause carries its signature, its length, its plain part
+    (the frozenset of its plain literals), its variable part (its other
+    literals, in order) and a copy renamed apart with that copy's literals
+    grouped by bit. A kept clause subsumes the given clause when it is no
+    longer, its plain part is a subset of the given clause's literal set
+    and its variable part matches into the given clause, one dict holding
+    the bindings and giving back the newest as the match backtracks. The
+    pass over the kept clauses that resolves them with the given clause
+    first drops those the given clause subsumes. Two plain literals
+    resolve when their arguments are equal, under the empty mgu, and a
+    plain literal unifies with any other by one-way matching. Each test
+    decides what unifying or matching every literal pair would, so the
+    given clauses, their order and the generated count are unchanged.
     """
     deadline = time.monotonic() + budget.max_seconds
-    bit: dict = {}
+    bit: dict = {}  # predicate -> its positive bit; its negative bit is the next one up
     for clause in clauses:
         for _, pred, _ in clause:
-            bit.setdefault((True, pred), 1 << len(bit))
-            bit.setdefault((False, pred), 1 << len(bit))
-    kept: list[tuple[tuple, int, bool, tuple, dict]] = []
+            bit.setdefault(pred, 1 << 2 * len(bit))
+    positive = sum(bit.values())  # every positive bit
+    kept: list[tuple[tuple, int, int, frozenset, tuple, tuple, dict]] = []
     queue = deque([(clause, 0, None, 0, {}) for clause in clauses])
     generated = len(queue)
     while queue:
         if time.monotonic() > deadline or generated > budget.max_clauses:
             return BUDGET_EXCEEDED
         parent, i, other, j, mgu = queue.popleft()
-        if other is None:  # an input clause or a factor
-            given, ground = _build(parent, mgu)
-        else:
-            given, ground = _build(parent[:i] + parent[i + 1:] + other[:j] + other[j + 1:], mgu)
+        if other is not None:  # a resolvent, not an input clause or a factor
+            parent = parent[:i] + parent[i + 1:] + other[:j] + other[j + 1:]
+        given = _build(parent, mgu)
         if not given:
             return REFUTED
-        sig = co_sig = 0
-        for sign, pred, _ in given:
-            sig |= bit[sign, pred]
-            co_sig |= bit[not sign, pred]
-        if sig & co_sig and _is_tautology(given):
-            continue
         literals = frozenset(given)
-        if any(k_sig | sig == sig and (literals.issuperset(k) if k_ground else _subsumes(k, given, False))
-               for k, k_sig, k_ground, _, _ in kept):
+        sig = 0
+        for sign, pred, _ in given:
+            sig |= bit[pred] if sign else bit[pred] << 1
+        if sig & sig >> 1 & positive and not literals.isdisjoint(
+                [(not sign, pred, args) for sign, pred, args in given]):
             continue
-        survives = [not (sig | e[1] == e[1] and _subsumes(given, e[0], ground)) for e in kept]
-        if not all(survives):
-            kept = list(itertools.compress(kept, survives))
-        renamed = given if ground else tuple(
-            [(s, p, tuple([_renamed(t) for t in args])) for s, p, args in given])
-        kept.append((given, sig, ground, renamed, _by_signature(renamed, bit)))
-        if sig.bit_count() < len(given):
-            for i, j in itertools.combinations(range(len(given)), 2):
+        if _kept_subsumes(kept, given, literals, sig):
+            continue
+        size = len(given)
+        plain = [_is_plain(args) for _, _, args in given]
+        rest = tuple([lit for lit, p in zip(given, plain) if not p])
+        renamed = tuple([lit if p else (lit[0], lit[1], tuple([_renamed(t) for t in lit[2]]))
+                         for lit, p in zip(given, plain)])
+        groups: dict = {}
+        for j, ((sign, pred, args), p) in enumerate(zip(renamed, plain)):
+            groups.setdefault(bit[pred] if sign else bit[pred] << 1, []).append((j, args, p))
+        entry = (given, sig, size, literals.difference(rest), rest, renamed, groups)
+        kept.append(entry)
+        if sig.bit_count() < size:
+            for i, j in itertools.combinations(range(size), 2):
                 mgu = {}
-                if given[i][:2] == given[j][:2] and _mgu(given[i][2], given[j][2], mgu):
+                if (given[i][0] == given[j][0] and given[i][1] == given[j][1]
+                        and not (plain[i] and plain[j]) and _mgu(given[i][2], given[j][2], mgu)):
                     generated += 1
                     queue.append((given, i, None, j, mgu))
-        wanted = [(i, bit[not sign, pred], args) for i, (sign, pred, args) in enumerate(given)]
-        for _, k_sig, _, k_renamed, k_groups in kept:
+        wanted = [(i, bit[pred] << 1 if sign else bit[pred], args, p)
+                  for i, ((sign, pred, args), p) in enumerate(zip(given, plain))]
+        co_sig = (sig & positive) << 1 | sig >> 1 & positive
+        subsumed = []
+        for k in kept:
+            k_sig = k[1]
+            if sig | k_sig == k_sig and k is not entry and _subsumes(given, k[0], not rest):
+                subsumed.append(k)
+                continue
             if not co_sig & k_sig:
                 continue
-            for i, co_bit, args in wanted:
-                for j, k_args in k_groups.get(co_bit, ()):
+            k_renamed, k_groups = k[5], k[6]
+            for i, co_bit, args, p in wanted:
+                if not co_bit & k_sig:
+                    continue
+                for j, k_args, k_p in k_groups[co_bit]:
                     mgu = {}
-                    if _mgu(args, k_args, mgu):
-                        generated += 1
-                        if len(given) == 1 and len(k_renamed) == 1:
-                            return REFUTED
-                        queue.append((given, i, k_renamed, j, mgu))
+                    if p:
+                        unified = args == k_args if k_p else _match_args(k_args, args, mgu)
+                    else:
+                        unified = _match_args(args, k_args, mgu) if k_p else _mgu(args, k_args, mgu)
+                    if not unified:
+                        continue
+                    generated += 1
+                    if size == 1 and k[2] == 1:
+                        return REFUTED
+                    queue.append((given, i, k_renamed, j, mgu))
+        if subsumed:
+            kept = [k for k in kept if k not in subsumed]
     return SATURATED
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import random_fol, random_prop, random_regex
 from formaltrip.grammar import (
     FOL,
     KSAT3,
@@ -23,8 +24,8 @@ from formaltrip.grammar.dataset import (
     expression_metric_value,
     leaf_metric_value,
 )
-from formaltrip.syntax import parse_expression
-from formaltrip.syntax.nodes import Constant, Variable, Atom, And, Or, Not, Quantified
+from formaltrip.syntax import make_expression, parse_expression
+from formaltrip.syntax.nodes import Constant, Variable, Atom, And, Or, Not, Quantified, walk
 
 
 def small(depth=6, branching=20, sample_count=5, metric="operator_total", seed=11, batches=2):
@@ -217,6 +218,18 @@ def test_leaf_counts_agree_with_expression_counts(grammar):
             assert leaf_metric_value(leaf, metric) == expression_metric_value(
                 expr, metric, leaf.depth, realized.alphabet
             ), (metric, leaf.sentential_form)
+
+
+def test_operator_counts_match_a_walk_of_the_tree():
+    rng = random.Random(5)
+    for _ in range(200):
+        for formalism, tree in (("prop", random_prop(rng, 6)), ("regex", random_regex(rng, 6)),
+                                ("fol", random_fol(rng, 5))):
+            expr = make_expression(formalism, tree)
+            for metric, (_, types) in COUNT_METRICS.items():
+                expected = sum(len(node.children) - 1 if type(node) in (And, Or) else 1
+                               for node in walk(tree) if type(node) in types)
+                assert expression_metric_value(expr, metric, 0, None) == expected
 
 
 def test_determinism_across_runs():

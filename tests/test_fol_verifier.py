@@ -10,8 +10,9 @@ import pytest
 
 from conftest import quantify, random_fol
 from formaltrip.pipeline.nl_codec import parse_description
+from formaltrip.pipeline.runner import witness_payload
 from formaltrip.syntax import parse_fol
-from formaltrip.syntax.nodes import And, Atom, LogicNode, Not, Or, Quantified, Variable
+from formaltrip.syntax.nodes import And, Atom, LogicNode, Not, Or, Quantified, Variable, walk
 from formaltrip.verify import (
     FiniteModel,
     ProverBudget,
@@ -29,9 +30,11 @@ from formaltrip.verify.fol import (
     REFUTED,
     SATURATED,
     collect_symbols,
+    difference_formula,
     free_variables,
 )
 from formaltrip.verify.verdict import Status
+from test_verifier_pins import CLAUSE_BUDGETS, OUTCOME
 
 QUICK = ProverBudget(max_clauses=5000, max_seconds=5.0, max_model_domain=3)
 
@@ -159,6 +162,31 @@ def test_budget_exceeded_reported():
     clauses = cl(difference_formula(f, g))
     tiny = ProverBudget(max_clauses=1, max_seconds=5.0, max_model_domain=2)
     assert resolution_refute(clauses, tiny) == BUDGET_EXCEEDED
+
+
+# A proposition among first-order atoms: `p1` parses as Atom('p1', ()).
+# (left, right, equivalent_fol status, witness payload, resolution outcome
+#  per clause budget, least clause budget that decides), as in FOL_PINS.
+ZERO_ARITY_PINS = [
+    ("∀ x1. (p1 ∧ pred1(x1))", "p1 ∧ ∀ x1. pred1(x1)", "equivalent", None, "RRRR", 24),
+    ("∀ x1. (p1 ∨ pred1(x1))", "p1 ∨ ∀ x1. pred1(x1)", "equivalent", None, "RRRR", 29),
+    ("∀ x1. (¬p1 ∨ pred1(x1))", "¬p1 ∧ ∀ x1. pred1(x1)", "not_equivalent",
+     {"domain_size": 1, "constants": {}, "predicates": {"p1": [], "pred1": []}}, "SSSS", 14),
+]
+
+
+@pytest.mark.parametrize("left,right,status,witness,outcomes,needed", ZERO_ARITY_PINS)
+def test_zero_arity_atoms_beside_predicates(left, right, status, witness, outcomes, needed):
+    f, g = parse_fol(left), parse_fol(right)
+    assert Atom("p1", ()) in walk(f)
+    verdict = equivalent_fol(f, g, ProverBudget(max_clauses=1000, max_model_domain=1))
+    assert verdict.status.value == status
+    assert witness_payload(verdict) == witness
+    clauses = clausify(difference_formula(f, g))
+    got = [resolution_refute(clauses, ProverBudget(max_clauses=n)) for n in CLAUSE_BUDGETS]
+    assert got == [OUTCOME[c] for c in outcomes]
+    assert resolution_refute(clauses, ProverBudget(max_clauses=needed)) != BUDGET_EXCEEDED
+    assert resolution_refute(clauses, ProverBudget(max_clauses=needed - 1)) == BUDGET_EXCEEDED
 
 
 # --- countermodels -------------------------------------------------------------

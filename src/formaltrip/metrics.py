@@ -81,15 +81,6 @@ def tally(records: list[RoundTripRecord]) -> BucketStats:
     return stats
 
 
-@dataclass
-class BatchStatistics:
-    values: list[float]
-    mean: float
-    std: float  # population
-    std_sample: float
-    single_sample: bool = False
-
-
 def judge_scores(records: list[JudgeRecord]) -> dict:
     """Confusion counts and scores of judge answers; the positive class is
     "equivalent", and an unparseable answer counts as the wrong prediction.
@@ -143,14 +134,15 @@ def pass_at_k_mean(tasks: list[tuple[int, int]], k: int) -> float:
     return fmean(pass_at_k(n, c, k) for n, c in tasks)
 
 
-def batch_stats(values: list[float]) -> BatchStatistics:
+def batch_stats(values: list[float]) -> dict:
+    """The summary row of per-batch values: mean, population `std` and sample
+    `std_sample` (0.0 for a single value, which sets `single_sample`)."""
     if not values:
         raise MetricsError("need at least one batch value")
-    if len(values) == 1:
-        return BatchStatistics(list(values), values[0], 0.0, 0.0, single_sample=True)
-    return BatchStatistics(
-        list(values),
-        fmean(values),
-        pstdev(values),
-        stdev(values),
-    )
+    return {
+        "values": list(values),
+        "mean": fmean(values),
+        "std": pstdev(values),
+        "std_sample": stdev(values) if len(values) > 1 else 0.0,
+        "single_sample": len(values) == 1,
+    }

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..syntax import And, Not, Or, ParseError, Star, make_expression, parse_expression
+from ..syntax import And, Concat, Not, Or, ParseError, Star, make_expression, parse_expression
 from ..syntax.nodes import FormalExpression, Quantified, children, rebuild
 from ..verify import ProverBudget, verify_pair
 from . import nl_codec
@@ -189,10 +189,8 @@ class Provider:
             return self._http(prompt)
         if kind == SCRIPTED_REPLAY:
             return Completion(self._replay(prompt))
-        if kind == PERFECT_ORACLE:
-            return Completion(self._oracle(prompt, corrupt=False))
-        if kind == CORRUPTING_ORACLE:
-            return Completion(self._oracle(prompt, corrupt=True))
+        if kind in (PERFECT_ORACLE, CORRUPTING_ORACLE):
+            return Completion(self._oracle(prompt, corrupt=kind == CORRUPTING_ORACLE))
         raise ProviderError(f"unknown provider kind {kind!r}")
 
     def _replay(self, prompt: str) -> str:
@@ -417,9 +415,12 @@ def _paths(node, types, path=()) -> list[tuple[int, ...]]:
 
 
 def _replace_at(node, path, edit):
-    """`node` with the subtree at `path` replaced by `edit` of it."""
+    """`node` with the subtree at `path` replaced by `edit` of it. A Concat
+    that lands in a Concat is spliced into it, as the parser reads it."""
     if not path:
         return edit(node)
     kids = list(children(node))
-    kids[path[0]] = _replace_at(kids[path[0]], path[1:], edit)
+    i = path[0]
+    kid = _replace_at(kids[i], path[1:], edit)
+    kids[i:i + 1] = kid.children if type(node) is Concat and type(kid) is Concat else (kid,)
     return rebuild(node, kids)

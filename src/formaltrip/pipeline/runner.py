@@ -106,25 +106,11 @@ def round_trip(
         alphabet=alphabet,
         prompt_ids=[templates.interpret.id, templates.compile.id],
     )
-    deterministic = provider.config.deterministic
     try:
-        interpret_prompt = render_prompt(templates.interpret, interpret_context(record.expression))
-        t0 = time.monotonic()
-        interpretation = provider.complete(interpret_prompt)
-        out.interpretation = interpretation.text
-        out.timings["interpret_seconds"] = 0.0 if deterministic else round(time.monotonic() - t0, 6)
-        if interpretation.prompt_tokens is not None:
-            out.tokens["interpret_prompt"] = interpretation.prompt_tokens
-            out.tokens["interpret_completion"] = interpretation.completion_tokens
-
-        compile_prompt = render_prompt(templates.compile, compile_context(out.interpretation))
-        t0 = time.monotonic()
-        reply = provider.complete(compile_prompt)
-        out.raw_reply = reply.text
-        out.timings["compile_seconds"] = 0.0 if deterministic else round(time.monotonic() - t0, 6)
-        if reply.prompt_tokens is not None:
-            out.tokens["compile_prompt"] = reply.prompt_tokens
-            out.tokens["compile_completion"] = reply.completion_tokens
+        out.interpretation = _complete(provider, templates.interpret,
+                                       interpret_context(record.expression), out, "interpret")
+        out.raw_reply = _complete(provider, templates.compile,
+                                  compile_context(out.interpretation), out, "compile")
     except (ProviderError, ValueError) as e:
         out.error = f"{type(e).__name__}: {e}"
         return out
@@ -148,11 +134,24 @@ def round_trip(
         logger.warning("verifier failed on record %s", record.id, exc_info=True)
         out.error = f"{type(e).__name__}: {e}"
         return out
-    out.timings["verify_seconds"] = 0.0 if deterministic else round(time.monotonic() - t0, 6)
+    out.timings["verify_seconds"] = 0.0 if provider.config.deterministic else round(time.monotonic() - t0, 6)
     out.verdict_status = verdict.status.value
     out.verdict_witness = witness_payload(verdict)
     out.verdict_reason = verdict.reason
     return out
+
+
+def _complete(provider: Provider, template, context: dict, out: RoundTripRecord, stage: str) -> str:
+    """The reply to the prompt rendered from template and context, its
+    seconds and tokens recorded in out under stage. Rendering is not timed."""
+    prompt = render_prompt(template, context)
+    t0 = time.monotonic()
+    completion = provider.complete(prompt)
+    out.timings[f"{stage}_seconds"] = 0.0 if provider.config.deterministic else round(time.monotonic() - t0, 6)
+    if completion.prompt_tokens is not None:
+        out.tokens[f"{stage}_prompt"] = completion.prompt_tokens
+        out.tokens[f"{stage}_completion"] = completion.completion_tokens
+    return completion.text
 
 
 def parse_judge_answer(reply: str) -> str:

@@ -18,8 +18,16 @@ from .syntax import parse_expression
 from .syntax.parse import DIGIT_ALPHABET
 
 
-def r4(x: float) -> float:
-    return round(x, 4)
+def r4(x):
+    """x with every float in it, inside lists and dicts too, rounded to four
+    decimals."""
+    if isinstance(x, float):
+        return round(x, 4)
+    if isinstance(x, list):
+        return [r4(v) for v in x]
+    if isinstance(x, dict):
+        return {k: r4(v) for k, v in x.items()}
+    return x
 
 
 def rebucket(records: list[RoundTripRecord], metric: str) -> list[RoundTripRecord]:
@@ -79,8 +87,8 @@ def summarize_run(
         "unknown_rate": r4(run.unknown_rate),
         "batches": per_batch,
         "batch_stats": {
-            "compliance": _stats_row(m.batch_stats(comp_values)),
-            "accuracy": _stats_row(m.batch_stats(acc_values)),
+            "compliance": r4(m.batch_stats(comp_values)),
+            "accuracy": r4(m.batch_stats(acc_values)),
         },
         "categories": {
             str(value): {
@@ -92,19 +100,8 @@ def summarize_run(
         },
     }
     if judge_records:
-        scores = m.judge_scores(judge_records)
-        summary["judge"] = {k: r4(v) if isinstance(v, float) else v for k, v in scores.items()}
+        summary["judge"] = r4(m.judge_scores(judge_records))
     return summary
-
-
-def _stats_row(stats: m.BatchStatistics) -> dict:
-    return {
-        "values": [r4(v) for v in stats.values],
-        "mean": r4(stats.mean),
-        "std": r4(stats.std),
-        "std_sample": r4(stats.std_sample),
-        "single_sample": stats.single_sample,
-    }
 
 
 def summary_text(summary: dict) -> str:

@@ -21,8 +21,6 @@ from .nodes import (
     RegexAst,
     Star,
     Variable,
-    flatten_and,
-    flatten_or,
 )
 from .parse import ArityError, ParseError, parse_expression, parse_fol, parse_prop, parse_regex
 from .printer import canonical_text, make_expression
@@ -34,7 +32,7 @@ __all__ = [
     "FormalExpression", "Literal", "LogicNode", "NonCompliant", "Not", "Or",
     "ParseError", "Proposition", "Quantified", "RegexAst", "Star",
     "Variable", "canonical_text",
-    "extract_formal", "flatten_and", "flatten_or", "make_expression",
+    "extract_formal", "make_expression",
     "parse_expression", "parse_fol", "parse_prop", "parse_regex",
     "simplify_expression",
 ]

@@ -208,20 +208,3 @@ def rebuild(node, kids):
         return Quantified(node.kind, node.variables, kids[0])
     return node
 
-
-def flatten_and(children) -> And:
-    return And(tuple(_splice(children, And)))
-
-
-def flatten_or(children) -> Or:
-    return Or(tuple(_splice(children, Or)))
-
-
-def _splice(children, cls):
-    out = []
-    for c in children:
-        if isinstance(c, cls):
-            out.extend(_splice(c.children, cls))
-        else:
-            out.append(c)
-    return out

@@ -4,11 +4,15 @@ Used to mint positive judge pairs: a simplified twin that is textually
 different but provably equivalent (double negations dropped, duplicate
 conjuncts/disjuncts removed, star-of-star collapsed). The caller is
 expected to confirm equivalence with the matching verifier.
+
+The tree is simplified bottom-up, so every child of a node is already
+simplified: an And or Or child holds no child of its own kind, and
+splicing it into a parent of that kind takes one level.
 """
 
 from __future__ import annotations
 
-from .nodes import And, FormalExpression, Not, Or, Star, children, flatten_and, flatten_or, rebuild
+from .nodes import And, FormalExpression, Not, Or, Star, children, rebuild
 from .printer import make_expression
 
 
@@ -33,5 +37,5 @@ def _simplify(node):
                 unique.append(c)
         if len(unique) == 1:
             return unique[0]
-        return flatten_and(unique) if t is And else flatten_or(unique)
+        return t(tuple([g for c in unique for g in (c.children if type(c) is t else (c,))]))
     return rebuild(node, kids)

@@ -448,12 +448,9 @@ def _eval_node(node, model: FiniteModel, env: dict[str, int]) -> bool:
 
 
 def _eval_term(term, model: FiniteModel, env: dict[str, int]) -> int:
-    if isinstance(term, Variable):
-        if term.name in env:
-            return env[term.name]
-        # stray free variable treated as a constant symbol
-        return model.constants[term.name]
-    return model.constants[term.name]
+    if isinstance(term, Variable) and term.name in env:
+        return env[term.name]
+    return model.constants[term.name]  # a constant, or a stray free variable taken as one
 
 
 def _constant_assignments(names: list[str], k: int):
@@ -559,18 +556,12 @@ def equivalent_fol(
     if outcome == REFUTED:
         return equivalent()
 
-    deeper = None
-    if budget.max_model_domain > quick:
-        deeper = find_countermodel(
-            f, g, budget, domain_sizes=range(quick + 1, budget.max_model_domain + 1)
-        )
+    model = find_countermodel(f, g, budget, domain_sizes=range(quick + 1, budget.max_model_domain + 1))
+    if model is not None:
+        return not_equivalent(witness=model)
     if outcome == SATURATED:
-        if deeper is not None:
-            return not_equivalent(witness=deeper)
         return not_equivalent(
             reason="difference is satisfiable (saturation) but has no model "
             f"within domain size {budget.max_model_domain}"
         )
-    if deeper is not None:
-        return not_equivalent(witness=deeper)
     return unknown("prover budget exhausted and no countermodel within bound")

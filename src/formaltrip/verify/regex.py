@@ -125,6 +125,24 @@ def determinize_minimize(nfa: Nfa) -> Dfa:
     return _minimize(_determinize(nfa))
 
 
+def _number(start, successors) -> tuple[list, list[tuple[int, ...]]]:
+    """The states reachable from start, numbered breadth-first from 0 with
+    each state's successors in the order `successors(state)` lists them,
+    and each state's row of successor numbers."""
+    index = {start: 0}
+    order = [start]
+    rows = []
+    for state in order:  # order grows as new states are met
+        row = []
+        for target in successors(state):
+            if target not in index:
+                index[target] = len(order)
+                order.append(target)
+            row.append(index[target])
+        rows.append(tuple(row))
+    return order, rows
+
+
 def _determinize(nfa: Nfa) -> Dfa:
     # per NFA state and per symbol, the states one step away; a subset's
     # successor is the union of its members' moves
@@ -135,33 +153,18 @@ def _determinize(nfa: Nfa) -> Dfa:
         row = moves.setdefault(src, [empty] * len(nfa.alphabet))
         row[symbol_index[label]] |= {dst}
 
-    start = frozenset({nfa.start})
-    index: dict[frozenset[int], int] = {start: 0}
-    order = [start]
-    rows: list[list[int]] = []
-    queue = deque([start])
-    while queue:
-        subset = queue.popleft()
+    def successors(subset):
         members = [moves[s] for s in subset if s in moves]
-        row = []
-        for k in range(len(nfa.alphabet)):
-            target = empty.union(*[m[k] for m in members])
-            if target not in index:
-                index[target] = len(order)
-                order.append(target)
-                queue.append(target)
-            row.append(index[target])
-        rows.append(row)
+        return [empty.union(*[m[k] for m in members]) for k in range(len(nfa.alphabet))]
+
     # the empty subset, if reachable, already acts as the dead state
-    accepting = frozenset(
-        i for i, subset in enumerate(order) if subset & nfa.accepting
-    )
+    order, rows = _number(frozenset({nfa.start}), successors)
     return Dfa(
         n_states=len(order),
         alphabet=nfa.alphabet,
-        transitions=tuple(tuple(r) for r in rows),
-        start=index[start],
-        accepting=accepting,
+        transitions=tuple(rows),
+        start=0,
+        accepting=frozenset(i for i, subset in enumerate(order) if subset & nfa.accepting),
     )
 
 
@@ -181,23 +184,14 @@ def _minimize(dfa: Dfa) -> Dfa:
             break
         n_blocks = len(signatures)
     representative = {b: s for s, b in enumerate(block)}  # any member: blocks are stable
-    number = {block[dfa.start]: 0}
-    queue = deque([block[dfa.start]])
-    rows = []
-    while queue:
-        row = []
-        for t in dfa.transitions[representative[queue.popleft()]]:
-            if block[t] not in number:
-                number[block[t]] = len(number)
-                queue.append(block[t])
-            row.append(number[block[t]])
-        rows.append(tuple(row))
+    order, rows = _number(block[dfa.start],
+                          lambda b: [block[t] for t in dfa.transitions[representative[b]]])
     return Dfa(
         n_states=len(rows),
         alphabet=dfa.alphabet,
         transitions=tuple(rows),
         start=0,
-        accepting=frozenset(number[block[s]] for s in dfa.accepting),
+        accepting=frozenset(i for i, b in enumerate(order) if representative[b] in dfa.accepting),
     )
 
 

@@ -16,7 +16,6 @@ from formaltrip.grammar import (
     instantiate,
     load_grammar,
     realize_vocabulary,
-    recognize,
 )
 from formaltrip.grammar.dataset import (
     COUNT_METRICS,

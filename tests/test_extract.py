@@ -9,7 +9,6 @@ from formaltrip.syntax import (
     Or,
     Proposition,
     extract_formal,
-    make_expression,
     parse_expression,
 )
 from formaltrip.syntax.printer import print_logic, print_regex

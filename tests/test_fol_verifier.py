@@ -239,6 +239,45 @@ def test_deeper_countermodel_after_resolution_budget_is_exceeded():
     assert eval_in_model(f, model) != eval_in_model(g, model)
 
 
+# Every way out of `equivalent_fol`: (left, right, max_clauses,
+# max_model_domain, status, witness payload, reason). SWAP is refuted with
+# room and runs out of clauses with none; SAT and SAT3 saturate, and their
+# only models need two and three elements; THREE_KINDS runs out of 1,000
+# clauses, and its only models need three elements.
+SWAP = ("∀x. (pred1(x) ∨ pred2(x))", "∀x. (pred2(x) ∨ pred1(x))")
+SAT = ("pred1(a) ∧ ¬pred1(b)", "pred1(a) ∧ ¬pred1(a)")
+SAT3 = ("pred1(a) ∧ ¬pred1(b) ∧ pred2(b) ∧ ¬pred2(c) ∧ pred2(a) ∧ ¬pred1(c)", "pred1(a) ∧ ¬pred1(a)")
+NO_MODEL = "difference is satisfiable (saturation) but has no model within domain size {}"
+EXHAUSTED = "prover budget exhausted and no countermodel within bound"
+EQUIVALENT_FOL_OUTCOMES = [
+    ("∀ x1. pred1(x1)", "∀ x1. pred1(x1)", 1, 1, "equivalent", None, None),
+    ("pred1(a)", "pred1(b)", 1000, 2, "not_equivalent",
+     {"domain_size": 2, "constants": {"a": 0, "b": 1}, "predicates": {"pred1": [[0]]}}, None),
+    (*SWAP, 1000, 1, "equivalent", None, None),
+    (*SWAP, 1, 1, "unknown", None, EXHAUSTED),
+    (*SWAP, 1, 3, "unknown", None, EXHAUSTED),
+    (*SAT, 1000, 1, "not_equivalent", None, NO_MODEL.format(1)),
+    (*SAT, 1000, 2, "not_equivalent",
+     {"domain_size": 2, "constants": {"a": 0, "b": 1}, "predicates": {"pred1": [[0]]}}, None),
+    (*SAT3, 1000, 2, "not_equivalent", None, NO_MODEL.format(2)),
+    (*SAT3, 1000, 3, "not_equivalent",
+     {"domain_size": 3, "constants": {"a": 0, "b": 1, "c": 2},
+      "predicates": {"pred1": [[0]], "pred2": [[0], [1]]}}, None),
+    (*THREE_KINDS, 1000, 2, "unknown", None, EXHAUSTED),
+    (*THREE_KINDS, 1000, 3, "not_equivalent",
+     {"domain_size": 3, "constants": {}, "predicates": {"pred1": [[0], [1]], "pred2": [[0]]}}, None),
+    (*THREE_KINDS, 1, 3, "not_equivalent",
+     {"domain_size": 3, "constants": {}, "predicates": {"pred1": [[0], [1]], "pred2": [[0]]}}, None),
+]
+
+
+@pytest.mark.parametrize("left,right,clauses,domain,status,witness,reason", EQUIVALENT_FOL_OUTCOMES)
+def test_equivalent_fol_outcomes(left, right, clauses, domain, status, witness, reason):
+    verdict = equivalent_fol(parse_fol(left), parse_fol(right),
+                             ProverBudget(max_clauses=clauses, max_model_domain=domain))
+    assert (verdict.status.value, witness_payload(verdict), verdict.reason) == (status, witness, reason)
+
+
 def enumerated_countermodel(f, g, domain_sizes):
     """The first countermodel in search order, one candidate at a time: per
     domain size, constant assignments canonical up to domain permutation in

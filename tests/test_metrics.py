@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -194,17 +192,17 @@ def test_pass_at_k_monotone_in_k(nc):
 
 def test_constant_series():
     s = batch_stats([0.5, 0.5])
-    assert (s.mean, s.std) == (0.5, 0.0)
+    assert (s["mean"], s["std"]) == (0.5, 0.0)
 
 
 def test_symmetric_two_point_series():
     s = batch_stats([0.0, 1.0])
-    assert (s.mean, s.std) == (0.5, 0.5)
+    assert (s["mean"], s["std"]) == (0.5, 0.5)
 
 
 def test_single_batch_flagged():
     s = batch_stats([0.7])
-    assert s.single_sample and s.std == 0.0
+    assert s["single_sample"] and s["std"] == 0.0
 
 
 def test_bucket_counts_sum_to_totals():

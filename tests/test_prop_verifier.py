@@ -5,7 +5,6 @@ parser and evaluates recursively, sharing no code with the verifier.
 """
 
 import itertools
-import random
 import re
 
 import pytest

@@ -20,7 +20,7 @@ from formaltrip.pipeline import (
     parse_description,
     prompt_hash,
 )
-from formaltrip.syntax import make_expression, parse_expression
+from formaltrip.syntax import make_expression, parse_expression, parse_regex
 from formaltrip.verify import equivalent_prop, equivalent_regex
 from formaltrip.verify.verdict import Status
 
@@ -190,6 +190,22 @@ def test_regex_corruption_changes_language_usually():
     assert corrupted.canonical_text != expr.canonical_text
     verdict = equivalent_regex(expr.ast, corrupted.ast, {"0", "1"})
     assert verdict.status is Status.NOT_EQUIVALENT
+
+
+def test_an_unstarred_group_is_spliced_into_its_sequence():
+    corrupted = corrupt_expression(parse_expression("regex", "0(01)*1"), random.Random(0))
+    assert corrupted.canonical_text == "0011"
+    assert corrupted.ast == parse_regex("0011")
+
+
+def test_a_corrupted_regex_is_the_tree_its_text_parses_to():
+    rng = random.Random(1)
+    mismatched = 0
+    for i in range(3000):
+        expr = parse_expression("regex", make_expression("regex", random_regex(rng, 5)).canonical_text)
+        corrupted = corrupt_expression(expr, random.Random(i))
+        mismatched += parse_regex(corrupted.canonical_text) != corrupted.ast
+    assert mismatched == 0
 
 
 def test_rate_limiter_spaces_requests():

@@ -7,7 +7,6 @@ shares no automaton code at all: it checks membership and witnesses.
 """
 
 import itertools
-import random
 import re
 
 from conftest import random_regex, regex_asts

@@ -1,4 +1,6 @@
-"""Every name a module imports is used in that module.
+"""Every name a module of the package, the tests or the scripts imports is
+used in that module. `perfbench/` is left out: it changes only with the
+benchmark.
 
 Package `__init__.py` files are skipped: their imports are re-exports.
 A name counts as used when it is read anywhere in the module (including
@@ -8,7 +10,8 @@ annotations) or listed in the module's `__all__`.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "formaltrip"
+ROOT = Path(__file__).resolve().parent.parent
+CHECKED = (ROOT / "src" / "formaltrip", ROOT / "tests", ROOT / "scripts")
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -31,12 +34,12 @@ def unused_imports(tree: ast.Module) -> list[str]:
 
 def test_no_module_imports_a_name_it_never_uses():
     found = {}
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted(p for d in CHECKED for p in d.rglob("*.py")):
         if path.name == "__init__.py":
             continue
         names = unused_imports(ast.parse(path.read_text(encoding="utf-8")))
         if names:
-            found[str(path.relative_to(SRC))] = names
+            found[str(path.relative_to(ROOT))] = names
     assert found == {}
 
 

@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass, field
 
 from ..syntax import FormalExpression
-from ..syntax.nodes import And, Concat, Not, Or, Quantified, Star
 from ..syntax.parse import AND_WORDS, NOT_WORDS, OR_WORDS
 from ..verify.regex import compile_regex, dfa_metrics
 from .cfg import GrammarSpec, infer_formalism
@@ -24,16 +23,16 @@ from .vocab import VocabularyConfig, instantiate, realize_vocabulary
 logger = logging.getLogger(__name__)
 
 # The operator counts: metric -> (the leaf tokens it counts, which are the
-# parser's own connective words, and the AST node types it counts). An
-# n-ary And/Or with k children counts k-1, as in its printed binary form;
-# quantifiers are not operators, and a regex's only operator is star.
+# parser's own connective words, and the printer's glyphs for them in
+# canonical text). An n-ary And/Or with k children prints k-1 glyphs, as in
+# its binary form; quantifiers are not operators, and a regex's only
+# operator is star. No name or alphabet symbol holds a glyph, so the glyphs
+# of a canonical text count the operators of its tree.
 COUNT_METRICS = {
-    "operator_total": (
-        frozenset(NOT_WORDS | AND_WORDS | OR_WORDS | {"*"}), (Not, And, Or, Star),
-    ),
-    "and_count": (frozenset(AND_WORDS), (And,)),
-    "or_count": (frozenset(OR_WORDS), (Or,)),
-    "not_count": (frozenset(NOT_WORDS), (Not,)),
+    "operator_total": (frozenset(NOT_WORDS | AND_WORDS | OR_WORDS | {"*"}), "¬∧∨*"),
+    "and_count": (frozenset(AND_WORDS), "∧"),
+    "or_count": (frozenset(OR_WORDS), "∨"),
+    "not_count": (frozenset(NOT_WORDS), "¬"),
 }
 PRE_INSTANTIATION_METRICS = (*COUNT_METRICS, "cfg_depth")
 DFA_METRICS = ("dfa_nodes", "dfa_edges", "dfa_density")
@@ -81,34 +80,14 @@ def expression_metric_value(
     if metric == "cfg_depth":
         return cfg_depth
     if metric in COUNT_METRICS:
-        return _operator_count(expr.ast, COUNT_METRICS[metric][1])
+        text = expr.canonical_text
+        return sum(text.count(glyph) for glyph in COUNT_METRICS[metric][1])
     m = dfa_metrics(compile_regex(expr.ast, alphabet))
     return {
         "dfa_nodes": m.node_count,
         "dfa_edges": m.edge_count,
         "dfa_density": m.density,
     }[metric]
-
-
-def _operator_count(node, types: tuple) -> int:
-    """How many operators of the node types the tree under node holds: an
-    n-ary And/Or counts n-1, any other node one."""
-    count = 0
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        t = type(node)
-        if t is And or t is Or or t is Concat:
-            stack.extend(node.children)
-            if t in types:
-                count += len(node.children) - 1
-        elif t is Not or t is Star:
-            stack.append(node.child)
-            if t in types:
-                count += 1
-        elif t is Quantified:
-            stack.append(node.body)
-    return count
 
 
 def check_metric(metric: str, formalism: str) -> None:
@@ -154,7 +133,8 @@ def generate_dataset(
     warnings: list[str] = []
     snapshot = realized.snapshot()
     for value in sorted(reservoirs):
-        chosen = reservoirs[value]
+        # a category's leaves are released as its records are built
+        chosen = reservoirs.pop(value)
         take = len(chosen)
         if take < quota:
             msg = (
@@ -164,7 +144,8 @@ def generate_dataset(
             warnings.append(msg)
             logger.warning(msg)
         categories[value] = {"available": available[value], "sampled": take}
-        for item in chosen:
+        for k, item in enumerate(chosen):
+            chosen[k] = None
             if metric in PRE_INSTANTIATION_METRICS:
                 expr = instantiate(item, realized, vocab_config, rng, formalism)
                 depth = item.depth

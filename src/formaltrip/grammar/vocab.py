@@ -99,7 +99,12 @@ def instantiate(
     rng: random.Random,
     grammar_id: str,
 ) -> FormalExpression:
-    """Replace placeholder terminals in a terminal leaf with vocabulary draws."""
+    """Replace placeholder terminals in a terminal leaf with vocabulary draws.
+
+    The text is parsed, which validates a rule file's output, and printed.
+    A logic expression then keeps only that canonical text and rebuilds its
+    tree on the first `.ast` read; a regex expression keeps its tree.
+    """
     formalism = GRAMMAR_FORMALISM.get(grammar_id, grammar_id)
     if formalism not in ("prop", "fol", "regex"):
         raise ValueError(f"cannot instantiate grammar {grammar_id!r}")
@@ -117,7 +122,7 @@ def instantiate(
             for sym in leaf.sentential_form
         )
     alphabet = set(realized.alphabet) if formalism == "regex" else None
-    return parse_expression(formalism, text, alphabet)
+    return parse_expression(formalism, text, alphabet, keep_tree=False)
 
 
 def _choice(seq, getrandbits):

@@ -18,7 +18,7 @@ slotted dataclass takes a weakref slot only from Python 3.11
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 FORALL = "forall"
 EXISTS = "exists"
@@ -148,11 +148,35 @@ class FormalExpression:
     yields a structurally identical AST. Build one only with
     `printer.make_expression`, which refuses a tree whose canonical text
     would nest past MAX_NESTING, so that text always parses back.
+
+    The text is the expression and the tree `ast` is a cache of it: `==` and
+    `hash` read formalism and text only. A logic expression fresh from a
+    parse may drop its tree, since its tree is the parse of its own text;
+    `instantiate` returns such expressions, so a generated dataset holds text.
+    The first `.ast` read of one parses the text again and keeps the tree.
+    Two threads doing that at once may both parse and store equal trees,
+    which is harmless. A regex expression keeps its tree (a reparse would
+    need its alphabet), and so does any expression built from a tree that
+    a parse did not make (a corrupted, simplified or hand-built one): such
+    a tree may print like a different one, as a regex Concat nested in a
+    Concat prints like the flat Concat, and an FOL Variable like a Constant
+    of the same name. So `==` does not tell such trees apart; compare `.ast`
+    where the tree matters.
     """
 
     formalism: str
-    ast: LogicNode | RegexAst
+    _ast: LogicNode | RegexAst | None = field(compare=False, repr=False)
     canonical_text: str
+
+    @property
+    def ast(self) -> LogicNode | RegexAst:
+        tree = self._ast
+        if tree is None:
+            from .parse import parse_fol, parse_prop  # parse imports this module
+
+            tree = (parse_fol if self.formalism == FOL else parse_prop)(self.canonical_text)
+            object.__setattr__(self, "_ast", tree)
+        return tree
 
 
 # ---------------------------------------------------------------------------

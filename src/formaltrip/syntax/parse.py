@@ -372,20 +372,25 @@ def _parse_regex_concat(s: str, i: int, alphabet, depth: int) -> tuple[RegexAst,
 _LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def parse_expression(formalism: str, text: str, alphabet=None) -> FormalExpression:
+def parse_expression(
+    formalism: str, text: str, alphabet=None, *, keep_tree: bool = True
+) -> FormalExpression:
     """Parse canonical or user text in the given formalism.
 
     For the canonical text of an expression parsed before with the same
     regex alphabet and still alive, this returns that same expression object.
+    Otherwise, with `keep_tree` false, a logic expression drops its tree
+    and rebuilds it from its text when `.ast` is first read; a regex
+    expression keeps its tree either way.
     """
     alphabet_key = frozenset(alphabet) if formalism == REGEX and alphabet is not None else None
     expr = _LIVE.get((formalism, text, alphabet_key))
     if expr is not None:
         return expr
     if formalism == PROP:
-        expr = make_expression(PROP, parse_prop(text))
+        expr = make_expression(PROP, parse_prop(text), keep_tree)
     elif formalism == FOL:
-        expr = make_expression(FOL, parse_fol(text))
+        expr = make_expression(FOL, parse_fol(text), keep_tree)
     elif formalism == REGEX:
         expr = make_expression(REGEX, parse_regex(text, alphabet))
     else:

@@ -102,7 +102,11 @@ def canonical_text(formalism: str, ast) -> str:
     raise ValueError(f"unknown formalism {formalism!r}")
 
 
-def make_expression(formalism: str, ast) -> FormalExpression:
+def make_expression(formalism: str, ast, keep_tree: bool = True) -> FormalExpression:
     """The one constructor of FormalExpression: raises ParseError when the
-    canonical text of `ast` would nest past MAX_NESTING."""
-    return FormalExpression(formalism, ast, canonical_text(formalism, ast))
+    canonical text of `ast` would nest past MAX_NESTING. With `keep_tree`
+    false the expression keeps only its text, which is sound only for a
+    logic tree that is the parse of that text (see FormalExpression): only
+    `parse_expression` passes False, and only for prop and fol."""
+    text = canonical_text(formalism, ast)
+    return FormalExpression(formalism, ast if keep_tree else None, text)

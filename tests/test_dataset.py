@@ -24,7 +24,9 @@ from formaltrip.grammar.dataset import (
     leaf_metric_value,
 )
 from formaltrip.syntax import make_expression, parse_expression
-from formaltrip.syntax.nodes import Constant, Variable, Atom, And, Or, Not, Quantified, walk
+from formaltrip.syntax.nodes import (
+    FORALL, Atom, And, Constant, Not, Or, Proposition, Quantified, Star, Variable, walk,
+)
 
 
 def small(depth=6, branching=20, sample_count=5, metric="operator_total", seed=11, batches=2):
@@ -219,16 +221,62 @@ def test_leaf_counts_agree_with_expression_counts(grammar):
             ), (metric, leaf.sentential_form)
 
 
+# the tree nodes each count metric counts, kept apart from the glyphs that
+# dataset.COUNT_METRICS counts in canonical text
+COUNTED_NODES = {
+    "operator_total": (Not, And, Or, Star),
+    "and_count": (And,),
+    "or_count": (Or,),
+    "not_count": (Not,),
+}
+
+
+def walk_count(tree, types) -> int:
+    return sum(len(node.children) - 1 if type(node) in (And, Or) else 1
+               for node in walk(tree) if type(node) in types)
+
+
+def assert_counts_match_a_walk(expr, tree):
+    assert set(COUNTED_NODES) == set(COUNT_METRICS)
+    for metric, types in COUNTED_NODES.items():
+        assert expression_metric_value(expr, metric, 0, None) == walk_count(tree, types), (
+            metric, expr.canonical_text)
+
+
 def test_operator_counts_match_a_walk_of_the_tree():
     rng = random.Random(5)
     for _ in range(200):
         for formalism, tree in (("prop", random_prop(rng, 6)), ("regex", random_regex(rng, 6)),
                                 ("fol", random_fol(rng, 5))):
-            expr = make_expression(formalism, tree)
-            for metric, (_, types) in COUNT_METRICS.items():
-                expected = sum(len(node.children) - 1 if type(node) in (And, Or) else 1
-                               for node in walk(tree) if type(node) in types)
-                assert expression_metric_value(expr, metric, 0, None) == expected
+            assert_counts_match_a_walk(make_expression(formalism, tree), tree)
+
+
+def test_operator_counts_match_a_walk_of_nested_and_or_trees():
+    # an And directly in an And (Or in an Or) is no parse's output, but a
+    # corrupted or hand-built tree may hold one: each node still prints k-1 glyphs
+    p1, p2, p3, p4 = (Proposition(f"p{i}") for i in range(1, 5))
+    for kind, other in ((And, Or), (Or, And)):
+        for tree in (
+            kind((kind((p1, p2)), p3)),
+            kind((p1, kind((p2, Not(p3), p4)))),
+            kind((kind((p1, p2)), kind((p3, other((p4, p1)))))),
+            Not(kind((kind((p1, Not(p2))), p3, p4))),
+        ):
+            assert_counts_match_a_walk(make_expression("prop", tree), tree)
+    atom = Atom("pred1", (Variable("x1"),))
+    tree = Quantified(FORALL, ("x1",), And((And((atom, Not(atom))), Or((Or((atom, atom)), atom)))))
+    assert_counts_match_a_walk(make_expression("fol", tree), tree)
+
+
+@pytest.mark.parametrize("grammar", [PROP, FOL, KSAT3, REGEX], ids=lambda g: g.id)
+def test_operator_counts_match_a_walk_of_depth_40_output(grammar):
+    metric = "cfg_depth" if grammar.id == "regex" else "operator_total"
+    records, _ = generate_dataset(
+        grammar, VocabularyConfig(), small(depth=40, branching=6, metric=metric)
+    )
+    assert records
+    for r in records:
+        assert_counts_match_a_walk(r.expression, r.expression.ast)
 
 
 def test_determinism_across_runs():

@@ -198,5 +198,6 @@ def test_instantiate_draws_as_rng_choice_does(grammar_id, vocabulary):
     for leaf in leaves[:150]:
         got = instantiate(leaf, realized, config, ours, grammar_id)
         text = reference_instantiate(leaf.sentential_form, formalism, realized, config, theirs)
-        assert got == parse_expression(formalism, text, alphabet), text
+        expected = parse_expression(formalism, text, alphabet)
+        assert got == expected and got.ast == expected.ast, text
         assert ours.getstate() == theirs.getstate(), CHOICE_DETAIL.format("placeholder draws")

@@ -75,15 +75,18 @@ def test_never_misparses_canonical_strings():
     for _ in range(200):
         text = print_logic(random_prop(rng))
         direct = parse_expression("prop", text)
-        assert extract_formal(text, "prop") == direct
+        out = extract_formal(text, "prop")
+        assert out == direct and out.ast == direct.ast
     for _ in range(200):
         text = print_regex(random_regex(rng))
         direct = parse_expression("regex", text)
-        assert extract_formal(text, "regex") == direct
+        out = extract_formal(text, "regex")
+        assert out == direct and out.ast == direct.ast
     for _ in range(200):
         text = print_fol(random_fol(rng))
         direct = parse_expression("fol", text)
-        assert extract_formal(text, "fol") == direct
+        out = extract_formal(text, "fol")
+        assert out == direct and out.ast == direct.ast
 
 
 @pytest.mark.parametrize(

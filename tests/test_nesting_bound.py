@@ -83,7 +83,8 @@ def test_every_stage_runs_at_the_bound(formalism, reply):
             corrupt_expression(expr, random.Random(0))
     else:
         others.append(corrupt_expression(expr, random.Random(0)))
-    assert nl_codec.parse_description(nl_codec.describe(expr), formalism) == expr
+    back = nl_codec.parse_description(nl_codec.describe(expr), formalism)
+    assert back == expr and back.ast == expr.ast
     budget = ProverBudget(max_clauses=200, max_seconds=5, max_model_domain=1)
     for other in others:
         verify_pair(formalism, expr.ast, other.ast, budget=budget)

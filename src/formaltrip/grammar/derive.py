@@ -6,7 +6,7 @@ every nonterminal occurrence of its parent's sentential form once, each
 with an independently drawn applicable rule (choices drawn left to
 right); when a node's rewrite-combination space is no larger than the
 branching factor it is enumerated exhaustively instead of sampled.
-Terminal children are collected as leaves across all levels.
+Terminal children are handed to the caller as leaves at every level.
 
 A level holds up to branching² children but only `branching` of them
 survive the next sample, so a nonterminal child is kept as its parent
@@ -57,15 +57,9 @@ class DerivationNode:
 Option = tuple[tuple[str, ...], tuple[int, ...]]
 
 
-def grow_tree(
-    grammar: GrammarSpec, config: GenerationConfig, rng: random.Random, on_leaf=None
-) -> list[DerivationNode] | None:
-    """Walk the derivation tree, collecting terminal nodes.
-
-    Returns the leaf list, or None when `on_leaf` is given: large walks
-    stream each terminal node into the callback instead of accumulating
-    them (memory stays bounded by one level's frontier).
-    """
+def grow_tree(grammar: GrammarSpec, config: GenerationConfig, rng: random.Random, on_leaf) -> None:
+    """Walk the derivation tree, passing each terminal node to `on_leaf` as
+    it is made: memory stays bounded by one level's frontier."""
     nonterminals = grammar.nonterminals
     options: dict[str, list[Option]] = {nt: [] for nt in nonterminals}
     for lhs, rhs in grammar.rules:
@@ -73,7 +67,6 @@ def grow_tree(
 
     # each level entry is a node and the positions of the nonterminals in its form
     level = [(DerivationNode((grammar.start,), 0), [0])]
-    leaves: list[DerivationNode] | None = [] if on_leaf is None else None
     reached = 0
     for step in range(config.depth):
         # nonterminal children wait as (parent, nonterminal positions, combo)
@@ -88,11 +81,7 @@ def grow_tree(
                         break
                 else:
                     reached += 1
-                    leaf = _build(node, positions, combo)[0]
-                    if leaves is not None:
-                        leaves.append(leaf)
-                    else:
-                        on_leaf(leaf)
+                    on_leaf(_build(node, positions, combo)[0])
         if step + 1 == config.depth:
             break
         if len(pending) > config.branching:
@@ -102,7 +91,6 @@ def grow_tree(
         raise EmptyFrontier(
             f"grammar {grammar.id!r} yields no terminal string within depth {config.depth}"
         )
-    return leaves
 
 
 def _combos(choices: list[list[Option]], n: int, rng: random.Random) -> list[tuple[Option, ...]]:

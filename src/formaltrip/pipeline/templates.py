@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from ..syntax.nodes import Atom, Constant, FormalExpression, LogicNode, Proposition, Quantified, walk
+from ..syntax.nodes import FormalExpression, symbols
 
 INTERPRET = "interpret"
 COMPILE = "compile"
@@ -93,43 +93,18 @@ def judge_context(formula1: str, formula2: str) -> dict:
 # vocabulary enumeration (interpret prompts only)
 
 def vocabulary_block(expr: FormalExpression) -> str:
+    """The formula's symbols by kind; the variables line lists bound names too."""
     if expr.formalism == "prop":
-        names = dict.fromkeys(n.name for n in walk(expr.ast) if type(n) is Proposition)
-        return "The propositions are: " + ", ".join(names)
+        return "The propositions are: " + ", ".join(symbols(expr.ast).propositions)
     if expr.formalism == "fol":
-        objects, predicates, variables = _fol_symbols(expr.ast)
-        lines = []
-        if objects:
-            lines.append("The objects are: " + ", ".join(objects))
-        if predicates:
-            sigs = [
-                name + "(" + ",".join(f"?p{i}" for i in range(arity)) + ")"
-                for name, arity in predicates
-            ]
-            lines.append("The parameterized predicates are: " + ", ".join(sigs))
-        if variables:
-            lines.append("The free variables are: " + ", ".join(variables))
-        return "\n".join(lines)
+        found = symbols(expr.ast)
+        sigs = [name + "(" + ",".join(f"?p{i}" for i in range(arity)) + ")"
+                for name, arity in found.predicates]
+        return "\n".join(label + ", ".join(names) for label, names in (
+            ("The objects are: ", found.objects),
+            ("The parameterized predicates are: ", sigs),
+            ("The free variables are: ", found.variables),
+        ) if names)
     if expr.formalism == "regex":
         return ""
     raise ValueError(f"unknown formalism {expr.formalism!r}")
-
-
-def _fol_symbols(formula: LogicNode):
-    objects: list[str] = []
-    predicates: list[tuple[str, int]] = []
-    variables: list[str] = []
-    for node in walk(formula):
-        t = type(node)
-        if t is Atom:
-            if (node.predicate, len(node.terms)) not in predicates:
-                predicates.append((node.predicate, len(node.terms)))
-            for term in node.terms:
-                seen = objects if type(term) is Constant else variables
-                if term.name not in seen:
-                    seen.append(term.name)
-        elif t is Quantified:
-            for v in node.variables:
-                if v not in variables:
-                    variables.append(v)
-    return objects, predicates, variables

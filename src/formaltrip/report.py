@@ -115,12 +115,8 @@ def summary_text(summary: dict) -> str:
         f"{'value':>10} {'samples':>8} {'compliance':>11} {'accuracy':>9} {'unknown':>8}",
     ]
     for value, row in summary["categories"].items():
-        comp = "-" if row["compliance"] is None else f"{row['compliance']:.4f}"
-        acc = "-" if row["accuracy"] is None else f"{row['accuracy']:.4f}"
-        unk = f"{row['unknown'] / row['samples']:.4f}" if row["samples"] else "-"
-        lines.append(
-            f"{value:>10} {row['samples']:>8} {comp:>11} {acc:>9} {unk:>8}"
-        )
+        comp, acc, unk = _category_cells(row, "-")
+        lines.append(f"{value:>10} {row['samples']:>8} {comp:>11} {acc:>9} {unk:>8}")
     stats = summary["batch_stats"]
     lines += [
         "",
@@ -144,11 +140,14 @@ def summary_text(summary: dict) -> str:
 def category_csv(summary: dict) -> str:
     lines = ["metric_value,samples,compliance,accuracy,unknown_rate"]
     for value, row in summary["categories"].items():
-        comp = "" if row["compliance"] is None else f"{row['compliance']:.4f}"
-        acc = "" if row["accuracy"] is None else f"{row['accuracy']:.4f}"
-        unk = f"{row['unknown'] / row['samples']:.4f}" if row["samples"] else ""
-        lines.append(f"{value},{row['samples']},{comp},{acc},{unk}")
+        lines.append(",".join([str(value), str(row["samples"]), *_category_cells(row, "")]))
     return "\n".join(lines) + "\n"
+
+
+def _category_cells(row: dict, blank: str) -> list[str]:
+    """A category row's compliance, accuracy and unknown rate, `blank` where undefined."""
+    unknown_rate = row["unknown"] / row["samples"] if row["samples"] else None
+    return [blank if x is None else f"{x:.4f}" for x in (row["compliance"], row["accuracy"], unknown_rate)]
 
 
 def write_report(summary: dict, out_dir: str | Path, stem: str = "summary") -> list[Path]:

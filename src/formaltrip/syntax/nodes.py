@@ -19,6 +19,7 @@ slotted dataclass takes a weakref slot only from Python 3.11
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 FORALL = "forall"
 EXISTS = "exists"
@@ -219,6 +220,34 @@ def walk(node):
             push(node.child)
         elif t is Quantified:
             push(node.body)
+
+
+class Symbols(NamedTuple):
+    """The leaf names of a tree by kind, each once, in first-occurrence pre-order."""
+
+    propositions: list[str]
+    objects: list[str]  # Constant terms
+    variables: list[str]  # Variable terms and the names quantifiers bind
+    predicates: list[tuple[str, int]]  # (name, arity): a name used at two arities is two
+    regex: list[str]  # Literal symbols
+
+
+def symbols(node) -> Symbols:
+    """Every leaf name of `node` by kind, in one `walk`."""
+    props, objects, variables, predicates, regex = {}, {}, {}, {}, {}
+    for n in walk(node):
+        t = type(n)
+        if t is Proposition:
+            props[n.name] = None
+        elif t is Atom:
+            predicates[n.predicate, len(n.terms)] = None
+            for term in n.terms:
+                (objects if type(term) is Constant else variables)[term.name] = None
+        elif t is Literal:
+            regex[n.symbol] = None
+        elif t is Quantified:
+            variables.update(dict.fromkeys(n.variables))
+    return Symbols(list(props), list(objects), list(variables), list(predicates), list(regex))
 
 
 def rebuild(node, kids):

@@ -377,8 +377,8 @@ def parse_expression(
 ) -> FormalExpression:
     """Parse canonical or user text in the given formalism.
 
-    For the canonical text of an expression parsed before with the same
-    regex alphabet and still alive, this returns that same expression object.
+    While an expression parsed before with the same regex alphabet is alive,
+    any text whose parse prints as its canonical text returns that object.
     Otherwise, with `keep_tree` false, a logic expression drops its tree
     and rebuilds it from its text when `.ast` is first read; a regex
     expression keeps its tree either way.
@@ -396,5 +396,4 @@ def parse_expression(
     else:
         raise ValueError(f"unknown formalism {formalism!r}")
     # keyed by the expression's own text: `text` may be a copy that dies sooner
-    _LIVE[formalism, expr.canonical_text, alphabet_key] = expr
-    return expr
+    return _LIVE.setdefault((formalism, expr.canonical_text, alphabet_key), expr)

@@ -23,14 +23,13 @@ from ..syntax.nodes import (
     FORALL,
     And,
     Atom,
-    Constant,
     LogicNode,
     Not,
     Or,
     Quantified,
     Variable,
     children,
-    walk,
+    symbols,
 )
 from . import prop
 from .verdict import EquivalenceVerdict, equivalent, not_equivalent, unknown
@@ -65,7 +64,7 @@ class FiniteModel:
 
 
 # ---------------------------------------------------------------------------
-# closure and symbol collection
+# closure
 
 def free_variables(formula: LogicNode) -> list[str]:
     """Variables occurring outside every quantifier that binds them, in order."""
@@ -98,17 +97,6 @@ def universal_closure(formula: LogicNode) -> LogicNode:
     return Quantified(FORALL, tuple(stray), formula)
 
 
-def collect_symbols(formula: LogicNode):
-    """(constants, predicate arities) used by the formula."""
-    constants: set[str] = set()
-    predicates: dict[str, int] = {}
-    for node in walk(formula):
-        if type(node) is Atom:
-            predicates[node.predicate] = len(node.terms)
-            constants.update(t.name for t in node.terms if type(t) is Constant)
-    return constants, predicates
-
-
 # ---------------------------------------------------------------------------
 # clausification
 
@@ -116,7 +104,7 @@ def clausify(formula: LogicNode) -> list[tuple[Literal, ...]]:
     """Equisatisfiable clause set, each clause its distinct literals in
     order. Skolem symbols are fresh per call and never share a name with a
     constant of the formula."""
-    constants, _ = collect_symbols(formula)
+    constants = symbols(formula).objects
     skolems = (name for name in map("sk{}".format, itertools.count()) if name not in constants)
     out = []
     for clause in _cnf(universal_closure(formula), True, {}, (), itertools.count(), skolems):
@@ -242,16 +230,6 @@ def _occurs(var: int, term: tuple, subst: dict) -> bool:
     return False
 
 
-def _subsumes(c: tuple, d: tuple, c_ground: bool) -> bool:
-    """True when some substitution maps every literal of c into d. A
-    ground c has only the empty substitution."""
-    if len(c) > len(d):
-        return False
-    if c_ground:
-        return all(lit in d for lit in c)
-    return _match(c, 0, d, {})
-
-
 def _match(lits: tuple, i: int, d: tuple, subst: dict) -> bool:
     """Whether one extension of subst maps lits[i:] into the clause d, the
     variables of lits binding one way. The bindings a literal makes are
@@ -290,15 +268,13 @@ def _match_args(xs: tuple, ys: tuple, subst: dict) -> bool:
     return True
 
 
-def _kept_subsumes(kept: list, given: tuple, literals: frozenset, sig: int) -> bool:
-    """Whether a kept clause subsumes given, whose literal set and signature
-    are literals and sig: one no longer, whose signature is within sig,
-    whose plain part is in literals and whose variable part matches into
-    given."""
-    size = len(given)
+def _kept_subsumes(kept: list, head: tuple) -> bool:
+    """Whether a kept clause subsumes the clause that `head` leads, by the
+    test `resolution_refute` describes."""
+    given, sig, size, plain, _ = head
     for k in kept:
         k_sig = k[1]
-        if (k_sig | sig == sig and k[2] <= size and literals.issuperset(k[3])
+        if (k_sig | sig == sig and k[2] <= size and k[3] <= plain
                 and (not k[4] or _match(k[4], 0, given, {}))):
             return True
     return False
@@ -324,19 +300,20 @@ def resolution_refute(clauses, budget: ProverBudget) -> str:
     signature meets its own complement can be a tautology: pairs failing
     these tests are skipped without unifying anything.
 
-    Each kept clause carries its signature, its length, its plain part
-    (the frozenset of its plain literals), its variable part (its other
-    literals, in order) and a copy renamed apart with that copy's literals
-    grouped by bit. A kept clause subsumes the given clause when it is no
-    longer, its plain part is a subset of the given clause's literal set
-    and its variable part matches into the given clause, one dict holding
-    the bindings and giving back the newest as the match backtracks. The
-    pass over the kept clauses that resolves them with the given clause
-    first drops those the given clause subsumes. Two plain literals
-    resolve when their arguments are equal, under the empty mgu, and a
-    plain literal unifies with any other by one-way matching. Each test
-    decides what unifying or matching every literal pair would, so the
-    given clauses, their order and the generated count are unchanged.
+    The head of a clause is the clause, its signature, its length, its
+    plain part (the frozenset of its plain literals) and its variable part
+    (its other literals, in order); a kept clause carries its head and a
+    copy renamed apart with that copy's literals grouped by bit. One clause
+    subsumes another, in either direction, when its signature is within the
+    other's, it is no longer, its plain part is a subset of the other's and
+    its variable part matches into the other clause, one dict holding the
+    bindings and giving back the newest as the match backtracks. The pass
+    over the kept clauses that resolves them with the given clause first
+    drops those the given clause subsumes. Two plain literals resolve when
+    their arguments are equal, under the empty mgu, and a plain literal
+    unifies with any other by one-way matching. Each test decides what
+    unifying or matching every literal pair would, so the given clauses,
+    their order and the generated count are unchanged.
     """
     deadline = time.monotonic() + budget.max_seconds
     bit: dict = {}  # predicate -> its positive bit; its negative bit is the next one up
@@ -363,17 +340,19 @@ def resolution_refute(clauses, budget: ProverBudget) -> str:
         if sig & sig >> 1 & positive and not literals.isdisjoint(
                 [(not sign, pred, args) for sign, pred, args in given]):
             continue
-        if _kept_subsumes(kept, given, literals, sig):
-            continue
         size = len(given)
         plain = [_is_plain(args) for _, _, args in given]
         rest = tuple([lit for lit, p in zip(given, plain) if not p])
+        plain_part = literals.difference(rest)
+        head = (given, sig, size, plain_part, rest)
+        if _kept_subsumes(kept, head):
+            continue
         renamed = tuple([lit if p else (lit[0], lit[1], tuple([_renamed(t) for t in lit[2]]))
                          for lit, p in zip(given, plain)])
         groups: dict = {}
         for j, ((sign, pred, args), p) in enumerate(zip(renamed, plain)):
             groups.setdefault(bit[pred] if sign else bit[pred] << 1, []).append((j, args, p))
-        entry = (given, sig, size, literals.difference(rest), rest, renamed, groups)
+        entry = head + (renamed, groups)
         kept.append(entry)
         if sig.bit_count() < size:
             for i, j in itertools.combinations(range(size), 2):
@@ -388,7 +367,8 @@ def resolution_refute(clauses, budget: ProverBudget) -> str:
         subsumed = []
         for k in kept:
             k_sig = k[1]
-            if sig | k_sig == k_sig and k is not entry and _subsumes(given, k[0], not rest):
+            if (sig | k_sig == k_sig and size <= k[2] and k is not entry and plain_part <= k[3]
+                    and (not rest or _match(rest, 0, k[0], {}))):
                 subsumed.append(k)
                 continue
             if not co_sig & k_sig:
@@ -485,12 +465,11 @@ def find_countermodel(
     the block search of the propositional check, finds the lowest row where
     their tables differ, the first countermodel, with the clock read before
     each block of rows."""
-    consts_f, preds_f = collect_symbols(f)
-    consts_g, preds_g = collect_symbols(g)
-    # the same name with two arities (across formulas) denotes two relations;
-    # mixed-arity tuples coexist safely in one relation set
-    pred_slots = sorted(set(preds_f.items()) | set(preds_g.items()))
-    constants = sorted(consts_f | consts_g | set(free_variables(f)) | set(free_variables(g)))
+    sf, sg = symbols(f), symbols(g)
+    # the same name with two arities denotes two relations; mixed-arity
+    # tuples coexist safely in one relation set
+    pred_slots = sorted({*sf.predicates, *sg.predicates})
+    constants = sorted({*sf.objects, *sg.objects, *free_variables(f), *free_variables(g)})
     if domain_sizes is None:
         domain_sizes = range(1, budget.max_model_domain + 1)
     deadline = time.monotonic() + budget.max_seconds

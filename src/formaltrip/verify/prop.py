@@ -16,7 +16,7 @@ from functools import reduce
 from itertools import product
 from operator import and_, or_
 
-from ..syntax.nodes import FORALL, And, Atom, Not, Or, Proposition, Quantified, walk
+from ..syntax.nodes import FORALL, And, Atom, Not, Or, Proposition, Quantified, symbols
 from .verdict import EquivalenceVerdict, equivalent, not_equivalent
 
 EXHAUSTIVE_LIMIT = 20
@@ -46,14 +46,10 @@ def eval_prop(formula, assignment: Assignment) -> bool:
     raise TypeError(f"not a propositional node: {formula!r}")
 
 
-def variables(formula) -> set[str]:
-    return {node.name for node in walk(formula) if type(node) is Proposition}
-
-
 def equivalent_prop(f, g) -> EquivalenceVerdict:
     if f == g:
         return equivalent()
-    names = sorted(variables(f) | variables(g))
+    names = sorted({*symbols(f).propositions, *symbols(g).propositions})
     # The witness is pinned in both ranges. Within one block it is the first
     # differing row in counting order, the first name the lowest bit; past
     # one block it is the least differing assignment in name order, False

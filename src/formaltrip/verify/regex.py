@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
-from ..syntax.nodes import Concat, Literal, RegexAst, Star, walk
+from ..syntax.nodes import Concat, Literal, RegexAst, Star, symbols
 from .verdict import EquivalenceVerdict, equivalent, not_equivalent
 
 
@@ -202,15 +202,11 @@ def compile_regex(regex: RegexAst, alphabet) -> Dfa:
 # ---------------------------------------------------------------------------
 # equivalence and metrics
 
-def regex_symbols(node: RegexAst) -> set[str]:
-    return {n.symbol for n in walk(node) if type(n) is Literal}
-
-
 def equivalent_regex(r1: RegexAst, r2: RegexAst, alphabet=()) -> EquivalenceVerdict:
     """Equivalent, or not with the shortlex-least distinguishing word."""
     if r1 == r2:
         return equivalent()
-    sigma = set(alphabet) | regex_symbols(r1) | regex_symbols(r2)
+    sigma = {*alphabet, *symbols(r1).regex, *symbols(r2).regex}
     witness = _shortest_difference(_determinize(to_nfa(r1, sigma)), _determinize(to_nfa(r2, sigma)))
     return equivalent() if witness is None else not_equivalent(witness=witness)
 

@@ -85,6 +85,17 @@ def test_generate_is_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_global_flags_may_come_before_or_after_the_subcommand(tmp_path):
+    flags = ["--grammar", "prop", "--depth", "5", "--branching", "10", "--sample-count", "2", "--batches", "1"]
+    before, after, unseeded = tmp_path / "before", tmp_path / "after", tmp_path / "unseeded"
+    assert run_cli("--seed", "3", "--output-dir", before, "generate", *flags) == 0
+    assert run_cli("generate", *flags, "--seed", "3", "--output-dir", after) == 0
+    assert run_cli("generate", *flags, "--output-dir", unseeded) == 0
+    name = "prop_operator_total_batch0.jsonl"
+    assert (before / name).read_bytes() == (after / name).read_bytes()
+    assert (before / name).read_bytes() != (unseeded / name).read_bytes()
+
+
 def test_custom_grammar_file(tmp_path):
     rules = tmp_path / "toy.cfg"
     rules.write_text("S -> ( S ∧ S )\nS -> v\n")

@@ -39,7 +39,9 @@ def small(depth=6, branching=20, sample_count=5, metric="operator_total", seed=1
 # --- instantiation -----------------------------------------------------------
 
 def leaves_of(grammar, config, seed):
-    return grow_tree(grammar, config, random.Random(seed))
+    leaves = []
+    grow_tree(grammar, config, random.Random(seed), on_leaf=leaves.append)
+    return leaves
 
 
 def test_prop_placeholders_replaced():
@@ -323,7 +325,7 @@ def test_regex_coverage_at_tiny_scale():
     # should appear across seeded runs
     target: set[str] = set()
     full = GenerationConfig(depth=3, branching=10**6, sample_count=1, seed=0)
-    for leaf in grow_tree(REGEX, full, random.Random(0)):
+    for leaf in leaves_of(REGEX, full, 0):
         text = leaf.text.replace(" ", "").replace("Σ", "0")
         target.add(parse_expression("regex", text, {"0"}).canonical_text)
     assert len(target) == 7

@@ -92,10 +92,11 @@ def test_walk_draws_as_the_rescanning_walk_does(name, branching):
     config = GenerationConfig(depth=DEPTHS[branching], branching=branching)
     for seed in range(2):
         ours, theirs = random.Random(seed), random.Random(seed)
+        got = []
         try:
-            got = [(leaf.sentential_form, leaf.depth) for leaf in grow_tree(grammar, config, ours)]
-        except derive.EmptyFrontier:
-            got = []
+            grow_tree(grammar, config, ours, on_leaf=lambda leaf: got.append((leaf.sentential_form, leaf.depth)))
+        except derive.EmptyFrontier:  # raised only when no leaf was reached
+            pass
         expected = reference_walk(grammar, config, theirs)
         assert got == expected, (name, branching, seed)
         assert ours.getstate() == theirs.getstate(), CHOICE_DETAIL.format("walk")
@@ -115,7 +116,8 @@ def test_carried_positions_equal_a_rescan_at_every_level(name, monkeypatch):
     monkeypatch.setattr(derive, "_build", build)
     for branching in (1, 6, 25):
         try:
-            grow_tree(grammar, GenerationConfig(depth=12, branching=branching), random.Random(branching))
+            grow_tree(grammar, GenerationConfig(depth=12, branching=branching), random.Random(branching),
+                      on_leaf=lambda leaf: None)
         except derive.EmptyFrontier:
             pass
     assert len(built) > 100
@@ -189,8 +191,10 @@ VOCABULARIES = {
 def test_instantiate_draws_as_rng_choice_does(grammar_id, vocabulary):
     config = VOCABULARIES[vocabulary]
     formalism = GRAMMAR_FORMALISM[grammar_id]
-    leaves = grow_tree(
-        BUILTIN_GRAMMARS[grammar_id], GenerationConfig(depth=9, branching=12), random.Random(4)
+    leaves = []
+    grow_tree(
+        BUILTIN_GRAMMARS[grammar_id], GenerationConfig(depth=9, branching=12), random.Random(4),
+        on_leaf=leaves.append,
     )
     realized = realize_vocabulary(config, random.Random(5))
     alphabet = set(realized.alphabet) if formalism == "regex" else None

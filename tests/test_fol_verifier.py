@@ -12,7 +12,18 @@ from conftest import quantify, random_fol
 from formaltrip.pipeline.nl_codec import parse_description
 from formaltrip.pipeline.runner import witness_payload
 from formaltrip.syntax import parse_fol
-from formaltrip.syntax.nodes import And, Atom, LogicNode, Not, Or, Quantified, Variable, walk
+from formaltrip.syntax.nodes import (
+    And,
+    Atom,
+    Constant,
+    LogicNode,
+    Not,
+    Or,
+    Quantified,
+    Variable,
+    symbols,
+    walk,
+)
 from formaltrip.verify import (
     FiniteModel,
     ProverBudget,
@@ -29,7 +40,6 @@ from formaltrip.verify.fol import (
     BUDGET_EXCEEDED,
     REFUTED,
     SATURATED,
-    collect_symbols,
     difference_formula,
     free_variables,
 )
@@ -283,10 +293,9 @@ def enumerated_countermodel(f, g, domain_sizes):
     domain size, constant assignments canonical up to domain permutation in
     lexicographic order, then every choice of relations, the last predicate
     slot varying fastest and tuple i of a slot bit i of its mask."""
-    consts_f, preds_f = collect_symbols(f)
-    consts_g, preds_g = collect_symbols(g)
-    slots = sorted(set(preds_f.items()) | set(preds_g.items()))
-    constants = sorted(consts_f | consts_g | set(free_variables(f)) | set(free_variables(g)))
+    sf, sg = symbols(f), symbols(g)
+    slots = sorted({*sf.predicates, *sg.predicates})
+    constants = sorted({*sf.objects, *sg.objects, *free_variables(f), *free_variables(g)})
     for k in domain_sizes:
         spaces = [list(itertools.product(range(k), repeat=arity)) for _, arity in slots]
         for values in itertools.product(range(k), repeat=len(constants)):
@@ -470,3 +479,12 @@ def test_ground_agreement_with_prop_verifier():
         assert (fol_verdict.status is Status.EQUIVALENT) == (
             prop_verdict.status is Status.EQUIVALENT
         )
+
+
+def test_a_predicate_at_two_arities_is_two_relations():
+    # parsed text cannot hold this (ArityError); a hand-built tree can
+    one, two = Atom("pred1", (Constant("a"),)), Atom("pred1", (Constant("a"), Constant("b")))
+    f, g = Or((one, two)), And((one, two))
+    verdict = equivalent_fol(f, g)
+    assert verdict.status is Status.NOT_EQUIVALENT
+    assert eval_in_model(f, verdict.witness) != eval_in_model(g, verdict.witness)

@@ -59,7 +59,8 @@ def cfg(depth, branching=50, seed=7):
 
 def test_ksat3_depth2_only_single_clauses():
     for seed in (0, 1, 2):
-        leaves = grow_tree(KSAT3, cfg(2, seed=seed), random.Random(seed))
+        leaves = []
+        grow_tree(KSAT3, cfg(2, seed=seed), random.Random(seed), on_leaf=leaves.append)
         assert leaves
         for leaf in leaves:
             assert "∧" not in leaf.sentential_form
@@ -67,31 +68,35 @@ def test_ksat3_depth2_only_single_clauses():
 
 
 def test_ksat3_two_clauses_need_depth_3():
-    leaves = grow_tree(KSAT3, cfg(3, branching=100), random.Random(1))
+    leaves = []
+    grow_tree(KSAT3, cfg(3, branching=100), random.Random(1), on_leaf=leaves.append)
     assert any("∧" in leaf.sentential_form for leaf in leaves)
 
 
 def test_regex_depth2_single_symbol_leaves():
-    leaves = grow_tree(REGEX, cfg(2), random.Random(3))
+    leaves = []
+    grow_tree(REGEX, cfg(2), random.Random(3), on_leaf=leaves.append)
     assert {leaf.text for leaf in leaves} <= {"Σ", "Σ *"}
     assert {leaf.text for leaf in leaves} == {"Σ", "Σ *"}
 
 
 def test_identical_seeds_identical_leaf_multisets():
-    a = grow_tree(PROP, cfg(6), random.Random(11))
-    b = grow_tree(PROP, cfg(6), random.Random(11))
+    a, b = [], []
+    grow_tree(PROP, cfg(6), random.Random(11), on_leaf=a.append)
+    grow_tree(PROP, cfg(6), random.Random(11), on_leaf=b.append)
     assert [x.text for x in a] == [x.text for x in b]
 
 
 def test_depth_one_prop_terminates():
-    leaves = grow_tree(PROP, cfg(1), random.Random(0))
+    leaves = []
+    grow_tree(PROP, cfg(1), random.Random(0), on_leaf=leaves.append)
     assert {leaf.text for leaf in leaves} == {"v", "¬ v"}
 
 
 def test_empty_frontier_raises():
     loop = GrammarSpec.build("loop", "S", [("S", ("a", "S"))])
     with pytest.raises(EmptyFrontier):
-        grow_tree(loop, cfg(4), random.Random(0))
+        grow_tree(loop, cfg(4), random.Random(0), on_leaf=lambda leaf: None)
 
 
 def test_sampled_combos_draw_as_rng_choice_does():
@@ -121,7 +126,8 @@ def test_underivable_fragment():
 
 def test_all_grown_leaves_recognized():
     for name, grammar in BUILTIN_GRAMMARS.items():
-        leaves = grow_tree(grammar, cfg(5, branching=20), random.Random(9))
+        leaves = []
+        grow_tree(grammar, cfg(5, branching=20), random.Random(9), on_leaf=leaves.append)
         for leaf in leaves[:100]:
             assert recognize(grammar, list(leaf.sentential_form)), (name, leaf.text)
 

@@ -51,11 +51,15 @@ def test_a_canonical_text_parsed_twice_is_one_object(formalism, text, alphabet):
 
 
 @pytest.mark.parametrize("text", ["p1 & p2", "( p1 ∧ p2 )"])
-def test_a_non_canonical_text_is_no_key_and_reparses_to_a_new_object(text):
+def test_a_non_canonical_text_is_no_key_and_reparses_to_the_live_one(text, monkeypatch):
     expr = parse_expression("prop", text)
     assert expr.canonical_text == "(p1 ∧ p2)"
     assert ("prop", text, None) not in live_keys()
-    assert parse_expression("prop", text) is not expr
+    calls = []
+    parse_logic = parse_module._parse_logic
+    monkeypatch.setattr(parse_module, "_parse_logic", lambda t, fol: calls.append(t) or parse_logic(t, fol))
+    assert parse_expression("prop", text) is expr
+    assert calls == [text]
 
 
 @pytest.mark.parametrize(

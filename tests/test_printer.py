@@ -89,10 +89,12 @@ def test_fixed_point_at_generator_scale():
         for seed in itertools.count():
             rng = random.Random(seed)
             realized = realize_vocabulary(vocab, rng)
-            leaves = grow_tree(
+            leaves = []
+            grow_tree(
                 grammar,
                 GenerationConfig(depth=10, branching=80, sample_count=1, seed=seed),
                 rng,
+                on_leaf=leaves.append,
             )
             for leaf in leaves:
                 expr = instantiate(leaf, realized, vocab, rng, formalism)

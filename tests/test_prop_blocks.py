@@ -14,16 +14,15 @@ import time
 from conftest import random_prop
 from formaltrip.pipeline.providers import corrupt_expression
 from formaltrip.syntax import make_expression
-from formaltrip.syntax.nodes import And, Not, Proposition
+from formaltrip.syntax.nodes import And, Not, Proposition, symbols
 from formaltrip.verify import equivalent_prop, eval_prop, prop
-from formaltrip.verify.prop import variables
 from formaltrip.verify.verdict import Status
 
 BLOCK_LIMIT = 3
 
 
 def brute_force_witness(f, g, limit):
-    names = sorted(variables(f) | variables(g))
+    names = sorted(set(symbols(f).propositions) | set(symbols(g).propositions))
     n = len(names)
     if n <= limit:
         rows = ({name: bool(r >> i & 1) for i, name in enumerate(names)} for r in range(1 << n))
@@ -51,7 +50,7 @@ def test_blocked_search_matches_brute_force(monkeypatch):
     for f, g in _pairs(random.Random(14), 3000):
         verdict = equivalent_prop(f, g)
         expected = brute_force_witness(f, g, BLOCK_LIMIT)
-        wide = len(variables(f) | variables(g)) > BLOCK_LIMIT
+        wide = len(set(symbols(f).propositions) | set(symbols(g).propositions)) > BLOCK_LIMIT
         if expected is None:
             assert verdict.status is Status.EQUIVALENT and verdict.witness is None
         else:
@@ -74,7 +73,7 @@ def _chain(n):
 def test_27_variable_chain_against_its_corrupted_twin():
     f = _chain(27)
     g = corrupt_expression(make_expression("prop", f), random.Random(0)).ast
-    assert len(variables(f) | variables(g)) == 27
+    assert len(set(symbols(f).propositions) | set(symbols(g).propositions)) == 27
     start = time.process_time()
     verdict = equivalent_prop(f, g)
     elapsed = time.process_time() - start

@@ -12,9 +12,10 @@ from hypothesis import given
 
 from conftest import prop_formulas, random_prop
 from formaltrip.syntax import parse_prop
+from formaltrip.syntax.nodes import symbols
 from formaltrip.syntax.printer import print_logic
 from formaltrip.verify import MissingVariable, equivalent_prop, eval_prop
-from formaltrip.verify.prop import EXHAUSTIVE_LIMIT, variables
+from formaltrip.verify.prop import EXHAUSTIVE_LIMIT
 from formaltrip.verify.verdict import Status
 
 
@@ -184,7 +185,7 @@ def test_table_at_exactly_the_exhaustive_limit():
     # 20 variables is the largest table; the all-true row is its last
     names = [f"p{i}" for i in range(1, EXHAUSTIVE_LIMIT + 1)]
     conj = parse_prop(" ∧ ".join(names))
-    assert len(variables(conj)) == EXHAUSTIVE_LIMIT
+    assert len(symbols(conj).propositions) == EXHAUSTIVE_LIMIT
     reversed_conj = parse_prop(" ∧ ".join(reversed(names)))
     v = equivalent_prop(conj, reversed_conj)
     assert v.status is Status.EQUIVALENT and v.witness is None
@@ -199,7 +200,7 @@ def test_table_at_exactly_the_exhaustive_limit():
 def test_flattening_preserves_truth_table(ast):
     flattened = parse_prop(print_logic(ast))
     naive = naive_parse(print_logic(ast))
-    names = sorted(variables(flattened))
+    names = sorted(symbols(flattened).propositions)
     for values in itertools.product((False, True), repeat=min(len(names), 6)):
         a = dict(zip(names, values))
         for name in names:

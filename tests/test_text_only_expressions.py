@@ -42,7 +42,8 @@ def instantiated(grammar, seed, count=20):
     vocab = VocabularyConfig()
     rng = random.Random(seed)
     realized = realize_vocabulary(vocab, rng)
-    leaves = grow_tree(grammar, GenerationConfig(depth=10, branching=12), random.Random(seed))
+    leaves = []
+    grow_tree(grammar, GenerationConfig(depth=10, branching=12), random.Random(seed), on_leaf=leaves.append)
     exprs = [instantiate(leaf, realized, vocab, rng, grammar.id) for leaf in leaves[-count:]]
     return list(dict.fromkeys(exprs))
 
@@ -106,10 +107,25 @@ def test_reading_a_written_dataset_returns_the_same_objects(grammar, tmp_path):
     back = [r for path in paths[:-1] for r in storage.read_dataset(path)]
     assert len(back) == len(records)
     by_id = {r.id: r.expression for r in records}
-    # two leaves that print alike are two objects, and the later one is live
-    generated = {id(expr) for expr in by_id.values()}
+    # two leaves that print alike share one object, and reading finds it
     for r in back:
-        assert r.expression == by_id[r.id] and id(r.expression) in generated
+        assert r.expression is by_id[r.id]
+
+
+def test_one_object_per_canonical_text():
+    first = parse_expression("prop", "( p1 ∧ p2 )", keep_tree=False)
+    assert parse_expression("prop", "( p1 ∧ p2 )", keep_tree=False) is first
+    assert parse_expression("prop", "p1∧p2") is first
+    vocab = VocabularyConfig(num_propositions=2)
+    rng = random.Random(1)
+    realized = realize_vocabulary(vocab, rng)
+    leaves = []
+    grow_tree(PROP, GenerationConfig(depth=4, branching=30), random.Random(1), on_leaf=leaves.append)
+    exprs = [instantiate(leaf, realized, vocab, rng, "prop") for leaf in leaves]
+    by_text = {}
+    for expr in exprs:
+        assert by_text.setdefault(expr.canonical_text, expr) is expr
+    assert len(by_text) < len(exprs)  # some leaf printed like an earlier one
 
 
 def test_generate_parses_each_kept_leaf_at_most_once(monkeypatch):

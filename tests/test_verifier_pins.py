@@ -25,7 +25,7 @@ from conftest import random_prop
 from formaltrip.pipeline.providers import corrupt_expression
 from formaltrip.pipeline.runner import witness_payload
 from formaltrip.syntax import make_expression, parse_expression, simplify_expression
-from formaltrip.syntax.nodes import And, Not, Or, Proposition
+from formaltrip.syntax.nodes import And, Not, Or, Proposition, symbols
 from formaltrip.verify import ProverBudget, clausify, equivalent_fol, equivalent_prop, eval_prop
 from formaltrip.verify.fol import (
     BUDGET_EXCEEDED,
@@ -34,7 +34,7 @@ from formaltrip.verify.fol import (
     difference_formula,
     resolution_refute,
 )
-from formaltrip.verify.prop import EXHAUSTIVE_LIMIT, variables
+from formaltrip.verify.prop import EXHAUSTIVE_LIMIT
 from formaltrip.verify.verdict import Status
 
 OUTCOME = {"R": REFUTED, "S": SATURATED, "B": BUDGET_EXCEEDED}
@@ -277,7 +277,7 @@ def test_fol_pins_cover_every_outcome():
 
 def first_differing_row(f, g):
     """The old truth-table order: row r sets the i-th sorted name to bit i of r."""
-    names = sorted(variables(f) | variables(g))
+    names = sorted(set(symbols(f).propositions) | set(symbols(g).propositions))
     for bits in range(1 << len(names)):
         row = {name: bool(bits >> i & 1) for i, name in enumerate(names)}
         if eval_prop(f, row) != eval_prop(g, row):
@@ -297,7 +297,7 @@ def _prop_pairs(seed):
 @pytest.mark.parametrize("seed", range(60))
 def test_prop_witness_is_first_differing_row(seed):
     for f, g in _prop_pairs(seed):
-        assert len(variables(f) | variables(g)) <= 12
+        assert len(set(symbols(f).propositions) | set(symbols(g).propositions)) <= 12
         verdict = equivalent_prop(f, g)
         expected = first_differing_row(f, g)
         if expected is None:
@@ -327,7 +327,7 @@ CHAIN_WITNESS = {
 def test_search_witness_past_the_table_limit():
     f = _chain()
     g = corrupt_expression(make_expression("prop", f), random.Random(5)).ast
-    assert len(variables(f) | variables(g)) == EXHAUSTIVE_LIMIT + 1
+    assert len(set(symbols(f).propositions) | set(symbols(g).propositions)) == EXHAUSTIVE_LIMIT + 1
     assert make_expression("prop", g).canonical_text.endswith("(p19 ∧ p20))))))))))))))))))))")
     verdict = equivalent_prop(f, g)
     assert verdict.status is Status.NOT_EQUIVALENT

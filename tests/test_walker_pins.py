@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from conftest import random_fol, random_prop, random_regex
 from formaltrip.grammar.dataset import expression_metric_value
 from formaltrip.pipeline.providers import corrupt_expression
 from formaltrip.pipeline.templates import vocabulary_block
@@ -32,9 +33,8 @@ from formaltrip.syntax import (
     parse_fol,
     simplify_expression,
 )
-from formaltrip.verify.fol import collect_symbols, free_variables
-from formaltrip.verify.prop import variables
-from formaltrip.verify.regex import regex_symbols
+from formaltrip.syntax.nodes import Literal, Proposition, children, symbols
+from formaltrip.verify.fol import free_variables
 
 # The parser makes every term outside a quantifier's scope a constant, so
 # formulas with free variables are built directly.
@@ -272,13 +272,13 @@ def test_walker_outputs(formalism, source, expected):
     counts = tuple(expression_metric_value(expr, m, None, None) for m in metrics)
     assert counts == expected["complexity"]
     assert vocabulary_block(expr) == expected["vocabulary"]
+    found = symbols(expr.ast)
     if formalism == "prop":
-        assert sorted(variables(expr.ast)) == expected["symbols"]
+        assert sorted(found.propositions) == expected["symbols"]
     elif formalism == "regex":
-        assert sorted(regex_symbols(expr.ast)) == expected["symbols"]
+        assert sorted(found.regex) == expected["symbols"]
     else:
-        constants, predicates = collect_symbols(expr.ast)
-        assert (sorted(constants), sorted(predicates.items())) == expected["symbols"]
+        assert (sorted(found.objects), sorted(found.predicates)) == expected["symbols"]
         assert free_variables(expr.ast) == expected["free"]
     assert simplify_expression(expr).canonical_text == expected["simplified"]
     corrupted = [corrupt_expression(expr, random.Random(seed)).canonical_text for seed in range(5)]
@@ -291,3 +291,43 @@ def test_arity_clash_inside_nested_quantifier():
     assert str(info.value) == "predicate 'P' used with arity 2, expected 1"
     assert info.value.position == 0
     assert (info.value.predicate, info.value.seen, info.value.expected) == ("P", 2, 1)
+
+
+def collected(node, found=None) -> dict:
+    """Leaf names by kind, each once in order of first occurrence, by plain
+    recursion: a node before its children, a quantifier's names before its
+    body, an atom's predicate before its terms."""
+    if found is None:
+        found = {"propositions": [], "objects": [], "variables": [], "predicates": [], "regex": []}
+
+    def add(kind, name):
+        if name not in found[kind]:
+            found[kind].append(name)
+
+    if isinstance(node, Proposition):
+        add("propositions", node.name)
+    elif isinstance(node, Literal):
+        add("regex", node.symbol)
+    elif isinstance(node, Atom):
+        add("predicates", (node.predicate, len(node.terms)))
+        for term in node.terms:
+            add("objects" if isinstance(term, Constant) else "variables", term.name)
+    elif isinstance(node, Quantified):
+        for name in node.variables:
+            add("variables", name)
+    for child in children(node):
+        collected(child, found)
+    return found
+
+
+MIXED_ARITY = Or((Atom("pred1", (Constant("a"),)), Atom("pred1", (Constant("a"), Constant("b")))))
+
+
+def test_symbols_agree_with_a_recursive_collector():
+    rng = random.Random(31)
+    trees = [STRAY_FREE, STRAY_UNDER_PREFIX, MIXED_ARITY]
+    for _ in range(300):
+        trees += [random_prop(rng, 5, 8), random_fol(rng, 4, 3, 3), random_regex(rng, 5, ("0", "1", "2"))]
+    for tree in trees:
+        assert symbols(tree)._asdict() == collected(tree), tree
+    assert symbols(MIXED_ARITY).predicates == [("pred1", 1), ("pred1", 2)]

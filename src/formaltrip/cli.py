@@ -202,8 +202,6 @@ def _expand_paths(patterns) -> list[Path]:
             out.append(Path(pattern))
         else:
             raise FileNotFoundError(f"no such dataset/result file: {pattern}")
-    if not out:
-        raise FileNotFoundError("no input files matched")
     return out
 
 
@@ -337,15 +335,12 @@ def cmd_judge(args) -> int:
 
 def _balanced_positive(record, budget):
     """A textually different, verifier-confirmed equivalent twin, if one exists."""
-    alphabet = set(record.alphabet) if record.alphabet else None
-    expr = parse_expression(record.formalism, record.expression, alphabet)
+    expr = parse_expression(record.formalism, record.expression, record.alphabet or None)
     twin = simplify_expression(expr)
     if twin.canonical_text == expr.canonical_text:
         return None
     try:
-        verdict = verify_pair(
-            record.formalism, expr.ast, twin.ast, budget=budget, alphabet=alphabet or ()
-        )
+        verdict = verify_pair(record.formalism, expr.ast, twin.ast, budget=budget)
     except Exception:  # a twin the verifier cannot check is no twin
         logger.warning("verifier failed on the twin of %s", record.record_id, exc_info=True)
         return None
@@ -388,10 +383,7 @@ def cmd_verify(args) -> int:
     left = parse_expression(args.formalism, _inline_or_file(args.left), alphabet)
     right = parse_expression(args.formalism, _inline_or_file(args.right), alphabet)
     config = _load_config(args)
-    verdict = verify_pair(
-        args.formalism, left.ast, right.ast,
-        budget=_budget(config), alphabet=alphabet or (),
-    )
+    verdict = verify_pair(args.formalism, left.ast, right.ast, budget=_budget(config))
     print(f"verdict: {verdict.status.value}")
     if verdict.witness is not None:
         print(f"witness: {verdict.witness!r}")

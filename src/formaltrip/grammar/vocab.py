@@ -121,8 +121,7 @@ def instantiate(
             _choice(realized.alphabet, getrandbits) if sym == "Σ" else sym
             for sym in leaf.sentential_form
         )
-    alphabet = set(realized.alphabet) if formalism == "regex" else None
-    return parse_expression(formalism, text, alphabet, keep_tree=False)
+    return parse_expression(formalism, text, realized.alphabet, keep_tree=False)
 
 
 def _choice(seq, getrandbits):

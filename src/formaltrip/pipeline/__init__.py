@@ -10,10 +10,8 @@ from .providers import (
     Provider,
     ProviderConfig,
     ProviderError,
-    RateLimited,
     ReplayMiss,
     ResponseCache,
-    Timeout,
     TransportError,
     corrupt_expression,
     load_fixtures,
@@ -48,11 +46,10 @@ __all__ = [
     "COMPILE", "CORRUPTING_ORACLE", "Completion", "HTTP_CHAT", "INTERPRET",
     "JUDGE_COT", "JUDGE_YESNO", "JudgeRecord", "MissingPlaceholder",
     "PERFECT_ORACLE", "PromptTemplate", "Provider", "ProviderConfig",
-    "ProviderError", "RateLimited", "ReplayMiss", "ResponseCache",
-    "RoundTripRecord", "SCRIPTED_REPLAY", "TemplateSet", "Timeout",
-    "TransportError", "compile_context", "corrupt_expression",
-    "describe", "interpret_context", "judge", "judge_context",
-    "load_fixtures", "load_template", "load_template_set",
+    "ProviderError", "ReplayMiss", "ResponseCache", "RoundTripRecord",
+    "SCRIPTED_REPLAY", "TemplateSet", "TransportError", "compile_context",
+    "corrupt_expression", "describe", "interpret_context", "judge",
+    "judge_context", "load_fixtures", "load_template", "load_template_set",
     "parse_description", "parse_judge_answer", "prompt_hash",
     "render_prompt", "round_trip", "run_round_trips", "vocabulary_block",
 ]

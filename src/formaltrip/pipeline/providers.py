@@ -39,16 +39,8 @@ class ProviderError(RuntimeError):
         self.retry_after = retry_after
 
 
-class Timeout(ProviderError):
-    pass
-
-
-class RateLimited(ProviderError):
-    pass
-
-
 class TransportError(ProviderError):
-    pass
+    """A failure that asking again may mend: no reply, 408, 429 or 5xx."""
 
 
 class ReplayMiss(ProviderError):
@@ -189,9 +181,8 @@ class Provider:
             return self._http(prompt)
         if kind == SCRIPTED_REPLAY:
             return Completion(self._replay(prompt))
-        if kind in (PERFECT_ORACLE, CORRUPTING_ORACLE):
-            return Completion(self._oracle(prompt, corrupt=kind == CORRUPTING_ORACLE))
-        raise ProviderError(f"unknown provider kind {kind!r}")
+        # ProviderConfig refuses any other kind
+        return Completion(self._oracle(prompt, corrupt=kind == CORRUPTING_ORACLE))
 
     def _replay(self, prompt: str) -> str:
         if self._fixtures is None:
@@ -240,7 +231,7 @@ class Provider:
                     prompt_tokens=usage.get("prompt_tokens"),
                     completion_tokens=usage.get("completion_tokens"),
                 )
-            except (Timeout, RateLimited, TransportError) as e:
+            except TransportError as e:
                 last_error = e
                 if attempt < self.config.max_attempts:
                     step = self.config.backoff_base * (2 ** (attempt - 1))
@@ -309,15 +300,13 @@ def _http_transport(endpoint: str, payload: dict, headers: dict, timeout: float)
 
     try:
         resp = requests.post(endpoint, json=payload, headers=headers, timeout=timeout)
-    except requests.Timeout as e:
-        raise Timeout(str(e)) from e
-    except requests.RequestException as e:
+    except requests.RequestException as e:  # a timeout is one
         raise TransportError(str(e)) from e
     # a 429 or 503 may say how long to wait; only the delta-seconds form is read
     wait = resp.headers.get("Retry-After", "").strip()
     retry_after = float(wait) if wait.isdecimal() else None
     if resp.status_code == 429:
-        raise RateLimited("429 from endpoint", retry_after)
+        raise TransportError("429 from endpoint", retry_after)
     if resp.status_code == 408:
         raise TransportError("request timeout 408 from endpoint")
     if resp.status_code >= 500:

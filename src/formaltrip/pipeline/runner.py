@@ -123,13 +123,7 @@ def round_trip(
 
     t0 = time.monotonic()
     try:
-        verdict = verify_pair(
-            record.formalism,
-            record.expression.ast,
-            extracted.ast,
-            budget=budget,
-            alphabet=alphabet or (),
-        )
+        verdict = verify_pair(record.formalism, record.expression.ast, extracted.ast, budget=budget)
     except Exception as e:  # a verifier fault costs its own record, not the run
         logger.warning("verifier failed on record %s", record.id, exc_info=True)
         out.error = f"{type(e).__name__}: {e}"

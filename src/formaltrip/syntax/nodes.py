@@ -201,25 +201,14 @@ def walk(node):
     Quantified node comes before its body, an Atom's terms are not visited.
 
     This order is a contract: the vocabulary block lists symbols by first
-    occurrence and the corrupting oracle draws an operator by its rank in
-    it, so both change if it does. The dispatch is written out rather than
-    calling `children`, which is measurably slower on every prompt.
+    occurrence in it, and the corrupting oracle's `_paths` ranks operators
+    in the same pre-order over `children`, so both change if it does.
     """
     stack = [node]
-    pop = stack.pop
-    push = stack.append
     while stack:
-        node = pop()
+        node = stack.pop()
         yield node
-        t = type(node)
-        if t is Proposition or t is Atom or t is Literal:
-            continue
-        if t is And or t is Or or t is Concat:
-            stack.extend(node.children[::-1])
-        elif t is Not or t is Star:
-            push(node.child)
-        elif t is Quantified:
-            push(node.body)
+        stack.extend(children(node)[::-1])
 
 
 class Symbols(NamedTuple):

@@ -33,12 +33,17 @@ __all__ = [
     "equivalent_prop", "equivalent_regex", "eval_in_model", "eval_prop",
     "find_countermodel", "nfa_accepts", "not_equivalent",
     "resolution_refute", "to_nfa", "universal_closure", "unknown",
+    "verify_pair",
 ]
 
 
 def verify_pair(formalism: str, left, right, budget: ProverBudget | None = None,
                 alphabet=()) -> EquivalenceVerdict:
-    """Dispatch to the matching verifier for two parsed ASTs."""
+    """Dispatch to the matching verifier for two parsed ASTs.
+
+    `alphabet` cannot change a regex verdict or its witness: a word holding
+    a symbol that neither tree holds is rejected by both automata, so the
+    shortlex-least distinguishing word never contains one."""
     if formalism == "prop":
         return equivalent_prop(left, right)
     if formalism == "fol":

@@ -248,6 +248,71 @@ def test_judge_balance_skips_a_twin_the_verifier_cannot_check(dataset_dir, tmp_p
     assert faulty == [row for row in clean if row != first_positive]
 
 
+def test_judge_resume_skips_pairs_already_judged(dataset_dir, tmp_path):
+    run_dir = tmp_path / "run"
+    batch = dataset_dir / "prop_operator_total_batch0.jsonl"
+    assert run_cli("run", "--provider", "perfect-oracle", "--dataset", batch,
+                   "--output-dir", run_dir) == 0
+    result = next(run_dir.glob("results_*.jsonl"))
+    judge_args = ("judge", "--provider", "perfect-oracle", "--results", result,
+                  "--balance", "--output-dir", run_dir)
+    assert run_cli(*judge_args) == 0
+    judge_file = next(run_dir.glob("judge_*.jsonl"))
+    full = judge_file.read_text().splitlines()
+    assert len(full) > 3
+    judge_file.write_text("\n".join(full[:2]) + "\n")  # the header and the first pair
+    assert run_cli(*judge_args, "--resume") == 0
+    assert judge_file.read_text().splitlines() == full
+
+
+def test_judge_on_results_with_no_judgeable_pair_is_an_error(dataset_dir, tmp_path, capsys):
+    fixtures = tmp_path / "empty.jsonl"
+    fixtures.write_text("")
+    run_dir = tmp_path / "run"
+    assert run_cli("run", "--provider", "replay", "--fixtures", fixtures,
+                   "--dataset", dataset_dir / "prop_operator_total_batch0.jsonl",
+                   "--output-dir", run_dir) == 0
+    result = next(run_dir.glob("results_*.jsonl"))
+    rows = [json.loads(r) for r in result.read_text().splitlines()[1:]]
+    assert rows and all(r["error"].startswith("ReplayMiss: ") for r in rows)
+    capsys.readouterr()
+    code = run_cli("judge", "--provider", "perfect-oracle", "--results", result,
+                   "--output-dir", run_dir)
+    assert code == 3
+    assert "holds no judgeable pairs" in capsys.readouterr().err
+    assert not list(run_dir.glob("judge_*.jsonl"))
+
+
+def test_run_replays_from_the_fixtures_flag(tmp_path):
+    data = Path(__file__).resolve().parent / "data" / "replay"
+    run_dir = tmp_path / "run"
+    assert run_cli("run", "--provider", "replay", "--fixtures", data / "fixtures.jsonl",
+                   "--dataset", data / "prop_operator_total_batch0.jsonl",
+                   data / "prop_operator_total_batch1.jsonl", "--output-dir", run_dir) == 0
+    results = sorted(run_dir.glob("results_*.jsonl"))
+    assert run_cli("report", "--results", *results, "--output-dir", run_dir) == 0
+    summary = json.loads((run_dir / "summary.json").read_text())
+    expected = json.loads((data / "expected_summary.json").read_text())
+    for key in ("model", "records", "errored", "compliance", "accuracy", "categories"):
+        assert summary[key] == expected[key], key
+
+
+def test_generate_fol_english_writes_english_names(tmp_path):
+    from formaltrip.grammar import words
+
+    out = tmp_path / "ds"
+    assert run_cli("generate", "--grammar", "fol_english", "--depth", "6", "--branching", "20",
+                   "--sample-count", "4", "--batches", "1", "--seed", "11",
+                   "--output-dir", out) == 0
+    rows = [json.loads(r) for p in sorted(out.glob("*batch*.jsonl"))
+            for r in p.read_text().splitlines()]
+    assert rows and {r["grammar_id"] for r in rows} == {"fol"}
+    vocabulary = rows[0]["vocabulary"]
+    assert set(vocabulary["predicates"]) <= set(words.VERBS)
+    assert set(vocabulary["objects"]) <= set(words.NAMES)
+    assert any(name in r["expression"] for r in rows for name in vocabulary["predicates"])
+
+
 @pytest.mark.parametrize(
     "formalism,left,right,expected",
     [

@@ -51,3 +51,8 @@ def test_alphabet_is_enforced():
     with pytest.raises(ParseError):
         parse_regex("2", {"0", "1"})
     assert parse_regex("2", {"0", "1", "2"}) == Literal("2")
+
+
+def test_an_empty_group_is_rejected():
+    with pytest.raises(ParseError, match="empty group"):
+        parse_regex("()")

@@ -1,14 +1,19 @@
 import random
 
+import pytest
 from hypothesis import given
 
 from conftest import prop_formulas, random_fol, random_regex, regex_asts
 from formaltrip.syntax import (
+    Literal,
+    ParseError,
+    Star,
     make_expression,
     parse_fol,
     parse_prop,
     parse_regex,
 )
+from formaltrip.syntax.nodes import MAX_NESTING, TOO_DEEP
 from formaltrip.syntax.printer import print_fol, print_logic, print_regex
 
 
@@ -18,6 +23,15 @@ def test_clause_prints_flat():
 
 def test_starred_group_gets_parens():
     assert print_regex(parse_regex("(01)*")) == "(01)*"
+
+
+def test_a_star_chain_nested_past_the_bound_is_refused():
+    chain = Literal("0")
+    for _ in range(MAX_NESTING):
+        chain = Star(chain)
+    assert print_regex(chain) == "0" + "*" * MAX_NESTING
+    with pytest.raises(ParseError, match=TOO_DEEP):
+        print_regex(Star(chain))
 
 
 def test_quantifier_prefix_layout():

@@ -11,7 +11,6 @@ from formaltrip.pipeline import (
     Provider,
     ProviderConfig,
     ProviderError,
-    RateLimited,
     ReplayMiss,
     ResponseCache,
     TransportError,
@@ -20,7 +19,7 @@ from formaltrip.pipeline import (
     parse_description,
     prompt_hash,
 )
-from formaltrip.syntax import make_expression, parse_expression, parse_regex
+from formaltrip.syntax import And, Or, Star, make_expression, parse_expression, parse_regex
 from formaltrip.verify import equivalent_prop, equivalent_regex
 from formaltrip.verify.verdict import Status
 
@@ -113,7 +112,7 @@ def http_config():
 
 
 def test_two_failures_then_success_is_three_attempts():
-    transport, calls = flaky_transport([RateLimited("429"), TransportError("503")])
+    transport, calls = flaky_transport([TransportError("429"), TransportError("503")])
     provider = Provider(http_config(), transport=transport)
     completion = provider.complete("prompt")
     assert completion.text == "ok after 3"
@@ -123,7 +122,7 @@ def test_two_failures_then_success_is_three_attempts():
 
 def test_retries_exhausted_raises_transport_error():
     transport, calls = flaky_transport(
-        [RateLimited("429"), RateLimited("429"), RateLimited("429")]
+        [TransportError("429"), TransportError("429"), TransportError("429")]
     )
     provider = Provider(http_config(), transport=transport)
     with pytest.raises(TransportError):
@@ -206,6 +205,46 @@ def test_a_corrupted_regex_is_the_tree_its_text_parses_to():
         corrupted = corrupt_expression(expr, random.Random(i))
         mismatched += parse_regex(corrupted.canonical_text) != corrupted.ast
     assert mismatched == 0
+
+
+def test_corruption_ranks_operators_in_walk_order():
+    # corrupt_expression draws an operator by its rank among `_paths`; that
+    # rank must be the pre-order of `walk`, which the vocabulary block reads
+    from formaltrip.pipeline.providers import _paths
+    from formaltrip.syntax.nodes import children, walk
+
+    rng = random.Random(43)
+    for random_tree, types in ((random_prop, (And, Or)), (random_fol, (And, Or)),
+                               (random_regex, (Star,))):
+        for _ in range(300):
+            root = random_tree(rng)
+            reached = []
+            for path in _paths(root, types):
+                node = root
+                for i in path:
+                    node = children(node)[i]
+                reached.append(node)
+            assert reached == [n for n in walk(root) if type(n) in types]
+
+
+def test_corruption_prob_half_corrupts_some_compile_replies_repeatably():
+    from formaltrip.grammar import PROP, GenerationConfig, VocabularyConfig, generate_dataset
+    from formaltrip.pipeline import load_template_set, run_round_trips
+
+    records, _ = generate_dataset(PROP, VocabularyConfig(), GenerationConfig(
+        depth=6, branching=20, sample_count=4, batches=2, seed=11))
+    templates = load_template_set("prop", 0)
+
+    def replies(kind, **kwargs):
+        provider = Provider(ProviderConfig(kind=kind, **kwargs))
+        return [(r.interpretation, r.raw_reply) for r in run_round_trips(records, provider, templates)]
+
+    perfect = replies("perfect_oracle")
+    half = replies("corrupting_oracle", corruption_prob=0.5)
+    assert [i for i, _ in half] == [i for i, _ in perfect]  # interpretations are never corrupted
+    corrupted = [h != p for h, p in zip(half, perfect)]
+    assert 0 < sum(corrupted) < len(corrupted)
+    assert replies("corrupting_oracle", corruption_prob=0.5) == half
 
 
 def test_rate_limiter_spaces_requests():

@@ -7,8 +7,10 @@ shares no automaton code at all: it checks membership and witnesses.
 """
 
 import itertools
+import random
 import re
 
+import pytest
 from conftest import random_regex, regex_asts
 from hypothesis import given
 
@@ -16,6 +18,7 @@ from formaltrip.syntax import parse_regex
 from formaltrip.syntax.nodes import Concat, Literal, Star
 from formaltrip.syntax.printer import print_regex
 from formaltrip.verify import (
+    AlphabetMismatch,
     compile_regex,
     dfa_metrics,
     determinize_minimize,
@@ -173,6 +176,11 @@ def test_single_literal_nfa():
     assert nfa_accepts(nfa, "0")
     assert not nfa_accepts(nfa, "")
     assert not nfa_accepts(nfa, "1")
+
+
+def test_a_literal_outside_the_alphabet_is_refused():
+    with pytest.raises(AlphabetMismatch, match="'2' outside alphabet"):
+        to_nfa(parse_regex("02", {"0", "1", "2"}), SIGMA)
 
 
 def test_star_closure():
@@ -343,3 +351,14 @@ def test_metrics_density_unclamped():
     m = dfa_metrics(compile_regex(parse_regex("1*"), SIGMA))
     assert (m.node_count, m.edge_count, m.density) == (2, 3, 1.5)
 
+
+def test_extra_alphabet_symbols_change_no_verdict():
+    """A word holding a symbol that neither tree holds is rejected by both
+    automata, so the shortlex-least distinguishing word never holds one:
+    a verdict and its witness come from the two trees alone."""
+    rng = random.Random(2024)
+    for _ in range(2000):
+        r1, r2 = (random_regex(rng, 4, ("0", "1", "2")) for _ in range(2))
+        bare = equivalent_regex(r1, r2, ())
+        wide = equivalent_regex(r1, r2, tuple("0123456789"))
+        assert (bare.status, bare.witness) == (wide.status, wide.witness)

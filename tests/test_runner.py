@@ -315,6 +315,13 @@ def test_judge_with_oracle_matches_ground_truth():
     assert rec2.answer == "no"
 
 
+def test_failed_judge_request_is_an_error_on_its_record():
+    replay = Provider(ProviderConfig(kind="scripted_replay"))
+    rec = judge("pair-1", "prop", "p1", "p1", "equivalent", replay, load_template("prop", "judge_cot"))
+    assert rec.error == "ReplayMiss: no fixtures file configured"
+    assert (rec.reply, rec.answer) == ("", "unparseable")
+
+
 def test_few_shot_round_trip_with_oracle():
     for grammar, formalism in ((PROP, "prop"), (FOL, "fol"), (REGEX, "regex")):
         records = dataset(grammar)

@@ -115,16 +115,10 @@ def main() -> int:
     results = run_round_trips(records, recorder, templates)
 
     judge_template = load_template("prop", "judge_cot")
-    judge_records = []
     for r in results:
-        if not r.compliant or r.verdict_status not in ("equivalent", "not_equivalent"):
-            continue
-        judge_records.append(
-            judge_pair(
-                r.record_id, "prop", r.expression, r.parsed, r.verdict_status,
-                recorder, judge_template,
-            )
-        )
+        if r.judgeable:
+            judge_pair(r.record_id, "prop", r.expression, r.parsed, r.verdict_status,
+                       recorder, judge_template)
 
     fixture_path = DATA_DIR / "fixtures.jsonl"
     storage.write_jsonl(
@@ -143,7 +137,7 @@ def main() -> int:
         judge_pair(r.record_id, "prop", r.expression, r.parsed, r.verdict_status,
                    replay, judge_template)
         for r in replay_results
-        if r.compliant and r.verdict_status in ("equivalent", "not_equivalent")
+        if r.judgeable
     ]
     batches = {}
     for r in replay_results:

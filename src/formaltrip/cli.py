@@ -66,6 +66,15 @@ def main(argv=None) -> int:
 
 # every vocabulary setting but the naming mode, which --grammar fol_english picks
 _VOCAB_FIELDS = [f for f in fields(VocabularyConfig) if f.name != "naming_mode"]
+# the generation settings that are generate's own flags (--metric and --seed are not)
+_GENERATION_FLAGS = ("depth", "branching", "sample_count", "batches")
+# the global flags, accepted before the subcommand and after it
+_GLOBAL_FLAGS = (
+    ("--config", {"help": "JSON config file (provider, budgets, concurrency)"}),
+    ("--seed", {"type": int, "default": 0}),
+    ("--output-dir", {"default": "out"}),
+    ("--verbose", {"action": "store_true"}),
+)
 
 
 def _flag(name: str) -> str:
@@ -78,24 +87,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Grammar-synthesized formal-syntax datasets, LLM round trips, "
         "and equivalence verification.",
     )
-    parser.add_argument("--config", help="JSON config file (provider, budgets, concurrency)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--output-dir", default="out")
-    parser.add_argument("--verbose", action="store_true")
-
-    # global flags are also accepted after the subcommand
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--output-dir", default=argparse.SUPPRESS)
-    common.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS)
+    common = argparse.ArgumentParser(add_help=False)  # a subcommand's copy of the global flags
+    for flag, options in _GLOBAL_FLAGS:
+        parser.add_argument(flag, **options)
+        # given only after the subcommand, a flag must not reset the value before it
+        common.add_argument(flag, **{**options, "default": argparse.SUPPRESS})
     sub = parser.add_subparsers(required=True)
 
     g = sub.add_parser("generate", parents=[common], help="synthesize a dataset from a grammar")
     g.add_argument("--grammar", required=True,
                    help="ksat3 | prop | fol | fol_english | regex | path to a rule file")
     generation = GenerationConfig()
-    for name in ("depth", "branching", "sample_count", "batches"):
+    for name in _GENERATION_FLAGS:
         g.add_argument(_flag(name), type=int, default=getattr(generation, name))
     g.add_argument("--metric", default=None, help=" | ".join(ALL_METRICS))
     for f in _VOCAB_FIELDS:
@@ -219,14 +222,8 @@ def cmd_generate(args) -> int:
         grammar = load_grammar(Path(name).read_text(encoding="utf-8"), Path(name).stem)
     vocab = VocabularyConfig(**vocab_kwargs)
     metric = args.metric or ("cfg_depth" if infer_formalism(grammar) == "regex" else "operator_total")
-    gen = GenerationConfig(
-        depth=args.depth,
-        branching=args.branching,
-        sample_count=args.sample_count,
-        metric=metric,
-        batches=args.batches,
-        seed=args.seed,
-    )
+    flags = {name: getattr(args, name) for name in _GENERATION_FLAGS}
+    gen = GenerationConfig(metric=metric, seed=args.seed, **flags)
     records, manifest = generate_dataset(grammar, vocab, gen)
     paths = storage.write_dataset(records, manifest, args.output_dir)
     print(f"wrote {manifest.total} records over {manifest.batches} batches:")
@@ -306,7 +303,7 @@ def cmd_judge(args) -> int:
         _, records = storage.read_results(result_path)
         pairs = []
         for r in records:
-            if not r.compliant or r.verdict_status not in ("equivalent", "not_equivalent"):
+            if not r.judgeable:
                 continue
             pairs.append((f"{r.record_id}", r.formalism, r.expression, r.parsed, r.verdict_status))
             if args.balance:

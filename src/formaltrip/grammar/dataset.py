@@ -82,12 +82,7 @@ def expression_metric_value(
     if metric in COUNT_METRICS:
         text = expr.canonical_text
         return sum(text.count(glyph) for glyph in COUNT_METRICS[metric][1])
-    m = dfa_metrics(compile_regex(expr.ast, alphabet))
-    return {
-        "dfa_nodes": m.node_count,
-        "dfa_edges": m.edge_count,
-        "dfa_density": m.density,
-    }[metric]
+    return dfa_metrics(compile_regex(expr.ast, alphabet))[metric]
 
 
 def check_metric(metric: str, formalism: str) -> None:

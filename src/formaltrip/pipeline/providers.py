@@ -94,11 +94,11 @@ def prompt_hash(prompt: str) -> str:
 class ResponseCache:
     """Append-only jsonl cache, safe under concurrent access."""
 
-    def __init__(self, path: str | Path | None):
-        self.path = Path(path) if path else None
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
         self._lock = threading.Lock()
         self._entries: dict[str, str] = {}
-        if self.path and self.path.exists():
+        if self.path.exists():
             from ..storage import read_complete_lines  # storage imports this package
 
             for line in read_complete_lines(self.path):
@@ -119,9 +119,8 @@ class ResponseCache:
             if key in self._entries:
                 return
             self._entries[key] = reply
-            if self.path:
-                with self.path.open("a", encoding="utf-8") as fh:
-                    fh.write(json.dumps({"key": key, "reply": reply}) + "\n")
+            with self.path.open("a", encoding="utf-8") as fh:
+                fh.write(json.dumps({"key": key, "reply": reply}) + "\n")
 
 
 class RateLimiter:
@@ -157,7 +156,7 @@ class Provider:
         self.cache = cache
         self.transport = transport or _http_transport
         self.limiter = RateLimiter(config.rate_limit_rpm)
-        self.budget = budget or ProverBudget()
+        self.budget = budget  # None: the verifier's default
         self._fixtures: dict[str, str] | None = None
 
     # -- public ------------------------------------------------------------

@@ -62,6 +62,11 @@ class RoundTripRecord:
     def errored(self) -> bool:
         return self.error is not None
 
+    @property
+    def judgeable(self) -> bool:
+        """Compliant with a decided verdict: a pair the judge can be asked about."""
+        return self.compliant and self.verdict_status in ("equivalent", "not_equivalent")
+
 
 @dataclass
 class JudgeRecord:
@@ -78,11 +83,7 @@ class JudgeRecord:
 def witness_payload(verdict: EquivalenceVerdict):
     w = verdict.witness
     if isinstance(w, FiniteModel):
-        return {
-            "domain_size": w.domain_size,
-            "constants": dict(w.constants),
-            "predicates": {k: sorted(map(list, v)) for k, v in w.predicates.items()},
-        }
+        return {**vars(w), "predicates": {k: sorted(map(list, v)) for k, v in w.predicates.items()}}
     return w
 
 

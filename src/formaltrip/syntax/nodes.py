@@ -51,6 +51,12 @@ class ParseError(ValueError):
         self.expected = expected
 
 
+def _two_or_more(node):
+    """The `__post_init__` of the n-ary nodes And, Or and Concat."""
+    if len(node.children) < 2:
+        raise ValueError(f"{type(node).__name__} requires at least 2 children")
+
+
 # ---------------------------------------------------------------------------
 # logic nodes (shared by prop and fol)
 
@@ -87,18 +93,14 @@ class Not:
 class And:
     children: tuple["LogicNode", ...]
 
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise ValueError("And requires at least 2 children")
+    __post_init__ = _two_or_more
 
 
 @dataclass(frozen=True, slots=True)
 class Or:
     children: tuple["LogicNode", ...]
 
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise ValueError("Or requires at least 2 children")
+    __post_init__ = _two_or_more
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,9 +128,7 @@ class Literal:
 class Concat:
     children: tuple["RegexAst", ...]
 
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise ValueError("Concat requires at least 2 children")
+    __post_init__ = _two_or_more
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,10 +14,8 @@ from .prop import Assignment, MissingVariable, equivalent_prop, eval_prop
 from .regex import (
     AlphabetMismatch,
     Dfa,
-    DfaMetrics,
     Nfa,
     compile_regex,
-    determinize_minimize,
     dfa_metrics,
     equivalent_regex,
     nfa_accepts,
@@ -26,10 +24,9 @@ from .regex import (
 from .verdict import EquivalenceVerdict, Status, equivalent, not_equivalent, unknown
 
 __all__ = [
-    "AlphabetMismatch", "Assignment", "Dfa", "DfaMetrics",
-    "EquivalenceVerdict", "FiniteModel", "MissingVariable", "Nfa",
-    "ProverBudget", "Status", "clausify", "compile_regex",
-    "determinize_minimize", "dfa_metrics", "equivalent", "equivalent_fol",
+    "AlphabetMismatch", "Assignment", "Dfa", "EquivalenceVerdict",
+    "FiniteModel", "MissingVariable", "Nfa", "ProverBudget", "Status",
+    "clausify", "compile_regex", "dfa_metrics", "equivalent", "equivalent_fol",
     "equivalent_prop", "equivalent_regex", "eval_in_model", "eval_prop",
     "find_countermodel", "nfa_accepts", "not_equivalent",
     "resolution_refute", "to_nfa", "universal_closure", "unknown",

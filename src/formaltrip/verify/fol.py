@@ -464,12 +464,14 @@ def find_countermodel(
     varying fastest. Both formulas are grounded and `prop.first_difference`,
     the block search of the propositional check, finds the lowest row where
     their tables differ, the first countermodel, with the clock read before
-    each block of rows."""
+    each block of rows. A free variable is read as `equivalent_fol` reads
+    it, universally closed."""
+    f, g = universal_closure(f), universal_closure(g)
     sf, sg = symbols(f), symbols(g)
     # the same name with two arities denotes two relations; mixed-arity
     # tuples coexist safely in one relation set
     pred_slots = sorted({*sf.predicates, *sg.predicates})
-    constants = sorted({*sf.objects, *sg.objects, *free_variables(f), *free_variables(g)})
+    constants = sorted({*sf.objects, *sg.objects})
     if domain_sizes is None:
         domain_sizes = range(1, budget.max_model_domain + 1)
     deadline = time.monotonic() + budget.max_seconds
@@ -501,8 +503,7 @@ def _grounded_difference(f, g, k: int, constants: dict, offsets: dict, columns: 
     def leaf(atom: Atom, env: dict) -> int:
         index = 0
         for term in atom.terms:
-            name = term.name
-            index = index * k + (env[name] if type(term) is Variable and name in env else constants[name])
+            index = index * k + (env if type(term) is Variable else constants)[term.name]
         return columns[offsets[atom.predicate, len(atom.terms)] + index]
 
     return prop.truth_table(f, leaf, full, k, {}) ^ prop.truth_table(g, leaf, full, k, {})

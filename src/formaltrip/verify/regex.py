@@ -52,13 +52,6 @@ class Dfa:
         return state in self.accepting
 
 
-@dataclass
-class DfaMetrics:
-    node_count: int
-    edge_count: int
-    density: float  # |E| / (|V| * (|V|-1)), rounded to the nearest tenth; 0.0 if |V|=1
-
-
 # ---------------------------------------------------------------------------
 # Glushkov's position automaton
 
@@ -120,10 +113,6 @@ def nfa_accepts(nfa: Nfa, word: str) -> bool:
 
 # ---------------------------------------------------------------------------
 # determinization and canonical minimization
-
-def determinize_minimize(nfa: Nfa) -> Dfa:
-    return _minimize(_determinize(nfa))
-
 
 def _number(start, successors) -> tuple[list, list[tuple[int, ...]]]:
     """The states reachable from start, numbered breadth-first from 0 with
@@ -196,7 +185,8 @@ def _minimize(dfa: Dfa) -> Dfa:
 
 
 def compile_regex(regex: RegexAst, alphabet) -> Dfa:
-    return determinize_minimize(to_nfa(regex, alphabet))
+    """The canonical minimal DFA of regex over alphabet."""
+    return _minimize(_determinize(to_nfa(regex, alphabet)))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +225,10 @@ def _shortest_difference(d1: Dfa, d2: Dfa) -> str | None:
     return None
 
 
-def dfa_metrics(dfa: Dfa) -> DfaMetrics:
+def dfa_metrics(dfa: Dfa) -> dict[str, int | float]:
+    """The categorization metrics of a DFA by their metric names: its
+    states, its distinct (source, target) edges, and its density
+    |E| / (|V| * (|V|-1)), rounded to the nearest tenth, 0.0 if |V| = 1."""
     edges = {
         (s, dfa.transitions[s][a])
         for s in range(dfa.n_states)
@@ -244,5 +237,5 @@ def dfa_metrics(dfa: Dfa) -> DfaMetrics:
     v = dfa.n_states
     e = len(edges)
     density = 0.0 if v == 1 else round(e / (v * (v - 1)), 1)
-    return DfaMetrics(node_count=v, edge_count=e, density=density)
+    return {"dfa_nodes": v, "dfa_edges": e, "dfa_density": density}
 

@@ -298,6 +298,6 @@ def test_criterion_9_pass_at_k():
 def test_criterion_10_density_metric():
     with criterion(10, "the two-symbol single-literal DFA measures 3 nodes, 4 edges, density 0.7"):
         metrics = dfa_metrics(compile_regex(parse_regex("0"), ("0", "1")))
-        assert metrics.node_count == 3
-        assert metrics.edge_count == 4
-        assert metrics.density == 0.7
+        assert metrics["dfa_nodes"] == 3
+        assert metrics["dfa_edges"] == 4
+        assert metrics["dfa_density"] == 0.7

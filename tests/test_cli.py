@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -85,7 +86,7 @@ def test_generate_is_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_global_flags_may_come_before_or_after_the_subcommand(tmp_path):
+def test_global_flags_may_come_before_or_after_the_subcommand(tmp_path, monkeypatch):
     flags = ["--grammar", "prop", "--depth", "5", "--branching", "10", "--sample-count", "2", "--batches", "1"]
     before, after, unseeded = tmp_path / "before", tmp_path / "after", tmp_path / "unseeded"
     assert run_cli("--seed", "3", "--output-dir", before, "generate", *flags) == 0
@@ -94,6 +95,76 @@ def test_global_flags_may_come_before_or_after_the_subcommand(tmp_path):
     name = "prop_operator_total_batch0.jsonl"
     assert (before / name).read_bytes() == (after / name).read_bytes()
     assert (before / name).read_bytes() != (unseeded / name).read_bytes()
+
+    # --config and --verbose on either side: a budget too small to decide the pair
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"budgets": {"max_clauses": 1, "max_seconds": 0.05, "max_model_domain": 1}}))
+    pair = ("fol", "∀x. (pred1(x) ∧ pred2(x))", "(∀x. pred1(x)) ∧ (∀y. pred2(y))")
+    assert run_cli("verify", *pair) == 0
+    assert run_cli("--config", config, "verify", *pair) == 2
+    assert run_cli("verify", *pair, "--config", config) == 2
+    levels = []
+    monkeypatch.setattr(cli.logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+    for argv in (("verify", *pair), ("--verbose", "verify", *pair), ("verify", *pair, "--verbose")):
+        assert run_cli(*argv) == 0
+    assert levels == [cli.logging.INFO, cli.logging.DEBUG, cli.logging.DEBUG]
+
+
+_AFTER = argparse.SUPPRESS  # the default of a global flag given after a subcommand
+_GLOBAL_AFTER = {
+    "--config": (_AFTER, False, None), "--seed": (_AFTER, False, "int"),
+    "--output-dir": (_AFTER, False, None), "--verbose": (_AFTER, False, None),
+}
+_HELP = {"-h --help": (argparse.SUPPRESS, False, None)}
+# (default, required, type) of every option and positional, per parser, in order
+CLI_SURFACE = {
+    "formaltrip": {
+        **_HELP, "--config": (None, False, None), "--seed": (0, False, "int"),
+        "--output-dir": ("out", False, None), "--verbose": (False, False, None),
+    },
+    "generate": {
+        **_HELP, **_GLOBAL_AFTER, "--grammar": (None, True, None),
+        "--depth": (40, False, "int"), "--branching": (200, False, "int"),
+        "--sample-count": (50, False, "int"), "--batches": (10, False, "int"),
+        "--metric": (None, False, None), "--num-propositions": (12, False, "int"),
+        "--num-predicates": (8, False, "int"), "--num-objects": (12, False, "int"),
+        "--min-predicate-arity": (1, False, "int"), "--max-predicate-arity": (2, False, "int"),
+        "--free-variable-prob": (0.25, False, "float"), "--max-free-variables": (None, False, "int"),
+        "--alphabet-size": (2, False, "int"),
+    },
+    "run": {
+        **_HELP, **_GLOBAL_AFTER, "--provider": (None, False, None), "--dataset": (None, True, None),
+        "--shots": (0, False, "int"), "--fixtures": (None, False, None),
+        "--resume": (False, False, None), "--width": (None, False, "int"),
+    },
+    "judge": {
+        **_HELP, **_GLOBAL_AFTER, "--provider": (None, False, None), "--results": (None, True, None),
+        "--style": ("cot", False, None), "--fixtures": (None, False, None),
+        "--balance": (False, False, None), "--resume": (False, False, None),
+    },
+    "report": {
+        **_HELP, **_GLOBAL_AFTER, "--results": (None, True, None),
+        "--judge-results": ([], False, None), "--by": (None, False, None),
+    },
+    "verify": {
+        **_HELP, **_GLOBAL_AFTER, "formalism": (None, True, None), "left": (None, True, None),
+        "right": (None, True, None), "--alphabet": (None, False, None),
+    },
+}
+
+
+def test_cli_surface_is_pinned():
+    """Every option string of every parser, with its default, `required`
+    flag and type, in declaration order."""
+
+    def surface(parser):
+        return [(" ".join(a.option_strings) or a.dest, (a.default, a.required, getattr(a.type, "__name__", None)))
+                for a in parser._actions if not isinstance(a, argparse._SubParsersAction)]
+
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {"formaltrip": surface(parser), **{name: surface(p) for name, p in sub.choices.items()}}
+    assert got == {name: list(table.items()) for name, table in CLI_SURFACE.items()}
 
 
 def test_custom_grammar_file(tmp_path):
@@ -335,6 +406,57 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "verdict: equivalent\n"
+
+
+def test_a_file_whose_name_no_glob_matches_is_read_as_it_is(tmp_path):
+    path = tmp_path / "a[1].jsonl"  # as a glob, it matches "a1.jsonl" only
+    path.write_text("")
+    assert cli._expand_paths([str(path)]) == [path]
+
+
+def test_judge_balance_leaves_out_a_twin_the_verifier_does_not_confirm(tmp_path):
+    record = {
+        "record_id": "r0", "formalism": "fol", "grammar_id": "fol", "batch_index": 0,
+        "category_metric": "operator_total", "category_value": 2,
+        "expression": "∀ x1. ¬¬pred1(x1)", "model": "perfect-oracle",
+        "parsed": "∀ x1. ¬¬pred1(x1)", "verdict_status": "equivalent",
+    }
+    results = tmp_path / "results_fol.jsonl"
+    results.write_text(json.dumps({"kind": "header"}) + "\n" + json.dumps(record) + "\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"budgets": {"max_clauses": 1, "max_model_domain": 1}}))
+
+    def pair_ids(out_dir, *flags):
+        assert run_cli("judge", "--provider", "perfect-oracle", "--results", results,
+                       "--balance", "--output-dir", out_dir, *flags) == 0
+        rows = (out_dir / "judge_fol.jsonl").read_text().splitlines()[1:]
+        return [json.loads(row)["pair_id"] for row in rows]
+
+    assert pair_ids(tmp_path / "confirmed") == ["r0", "r0#pos"]
+    assert pair_ids(tmp_path / "unconfirmed", "--config", config) == ["r0"]
+
+
+def test_run_on_an_empty_dataset_is_an_error(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    code = run_cli("run", "--provider", "perfect-oracle", "--dataset", empty, "--output-dir", tmp_path)
+    assert code == 3
+    assert "holds no records" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config,named", [
+    ({}, "no provider configured"),
+    ({"provider": {"kind": "perfect_oracle"}, "budgets": [1]}, "'budgets' must be an object"),
+])
+def test_run_without_a_provider_or_with_unreadable_budgets_is_an_error(
+        dataset_dir, tmp_path, capsys, config, named):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = run_cli("run", "--dataset", dataset_dir / "prop_operator_total_batch0.jsonl",
+                   "--config", path, "--output-dir", tmp_path / "run")
+    assert code == 3
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_report_on_missing_files_fails(tmp_path):

@@ -222,6 +222,16 @@ def test_distinct_constants_distinguished():
     assert independent_eval(f, model) != independent_eval(g, model)
 
 
+def test_countermodel_search_closes_a_free_variable_as_equivalent_fol_does():
+    # both sides print as "P(y)": a free variable y on the left, a constant y on the right
+    free, constant = Atom("P", (Variable("y"),)), Atom("P", (Constant("y"),))
+    verdict = equivalent_fol(free, constant, QUICK)
+    assert verdict.status is Status.NOT_EQUIVALENT
+    model = find_countermodel(free, constant, QUICK)
+    assert model == verdict.witness == FiniteModel(2, {"y": 0}, {"P": frozenset({(0,)})})
+    assert independent_eval(universal_closure(free), model) != independent_eval(constant, model)
+
+
 def test_countermodel_search_gives_up_when_its_clock_has_run_out():
     f, g = parse_fol("pred1(a)"), parse_fol("pred1(b)")
     expired = ProverBudget(max_clauses=5000, max_seconds=-1.0, max_model_domain=2)

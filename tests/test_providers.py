@@ -441,3 +441,12 @@ def test_oracle_reads_its_prompts_strictly():
         classify_prompt("[Formula 1]\n(p1 ∧ p2)\n\n[Formula 2]\n" + prose)
     task = classify_prompt("[Formula 1]\n(p1 ∧ p2)\n\n[Formula 2]\n¬p1")
     assert [e.canonical_text for e in task.pair] == ["(p1 ∧ p2)", "¬p1"]
+
+
+@pytest.mark.parametrize("prompt,message", [
+    ("[FORMULA]\nThe answer is p1 ∧ p2.", "oracle could not parse the embedded formula"),
+    ("Translate this, please.", "prompt carries no recognized task marker"),
+])
+def test_oracle_refuses_a_prompt_it_cannot_read(prompt, message):
+    with pytest.raises(ProviderError, match=message):
+        Provider(ProviderConfig(kind="perfect_oracle")).complete(prompt)

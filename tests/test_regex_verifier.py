@@ -21,7 +21,6 @@ from formaltrip.verify import (
     AlphabetMismatch,
     compile_regex,
     dfa_metrics,
-    determinize_minimize,
     equivalent_regex,
     nfa_accepts,
     to_nfa,
@@ -280,7 +279,7 @@ def test_membership_preservation(rng):
     for _ in range(40):
         r = random_regex(rng, 4)
         nfa = to_nfa(r, SIGMA)
-        dfa = determinize_minimize(nfa)
+        dfa = compile_regex(r, SIGMA)
         for _ in range(100):
             word = "".join(rng.choice(SIGMA) for _ in range(rng.randint(0, 12)))
             assert nfa_accepts(nfa, word) == simulate(dfa, word)
@@ -339,17 +338,17 @@ def test_star_idempotence(ast):
 
 def test_metrics_literal_over_two_symbols():
     m = dfa_metrics(compile_regex(parse_regex("0"), SIGMA))
-    assert (m.node_count, m.edge_count, m.density) == (3, 4, 0.7)
+    assert m == {"dfa_nodes": 3, "dfa_edges": 4, "dfa_density": 0.7}
 
 
 def test_metrics_single_state():
     m = dfa_metrics(compile_regex(parse_regex("(1*)*"), ("1",)))
-    assert (m.node_count, m.edge_count, m.density) == (1, 1, 0.0)
+    assert m == {"dfa_nodes": 1, "dfa_edges": 1, "dfa_density": 0.0}
 
 
 def test_metrics_density_unclamped():
     m = dfa_metrics(compile_regex(parse_regex("1*"), SIGMA))
-    assert (m.node_count, m.edge_count, m.density) == (2, 3, 1.5)
+    assert m == {"dfa_nodes": 2, "dfa_edges": 3, "dfa_density": 1.5}
 
 
 def test_extra_alphabet_symbols_change_no_verdict():
